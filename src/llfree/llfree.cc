@@ -113,20 +113,23 @@ std::optional<uint64_t> LLFree::TakeFromReservation(unsigned slot,
     }
     // Local counter dry: re-steal whatever the reserved tree accumulated
     // from frees since we reserved it ("put-reserve" resync).
-    uint32_t stolen = 0;
-    AtomicUpdate(state_->trees_[r.tree], [&](uint32_t tree_raw)
-                     -> std::optional<uint32_t> {
-      TreeEntry entry = TreeEntry::Unpack(tree_raw);
-      if (entry.free == 0) {
-        return std::nullopt;
-      }
-      stolen = entry.free;
-      entry.free = 0;
-      return entry.Pack();
-    });
-    if (stolen == 0) {
+    // The stolen count comes from the value the CAS replaced: a count
+    // kept from an earlier try of the update would survive a retry that
+    // found the counter already emptied by a racing steal.
+    const std::optional<uint32_t> before = AtomicUpdate(
+        state_->trees_[r.tree],
+        [](uint32_t tree_raw) -> std::optional<uint32_t> {
+          TreeEntry entry = TreeEntry::Unpack(tree_raw);
+          if (entry.free == 0) {
+            return std::nullopt;
+          }
+          entry.free = 0;
+          return entry.Pack();
+        });
+    if (!before.has_value()) {
       return std::nullopt;  // genuinely dry; caller reserves a new tree
     }
+    const uint32_t stolen = TreeEntry::Unpack(*before).free;
     Reservation next = r;
     next.free = static_cast<uint16_t>(r.free + stolen);
     uint64_t expected = raw;
@@ -172,20 +175,20 @@ std::optional<uint64_t> LLFree::TakeUpToFromReservation(unsigned slot,
     }
     // Local counter dry: re-steal whatever the reserved tree accumulated
     // from frees since we reserved it (same resync as the single path).
-    uint32_t stolen = 0;
-    AtomicUpdate(state_->trees_[r.tree], [&](uint32_t tree_raw)
-                     -> std::optional<uint32_t> {
-      TreeEntry entry = TreeEntry::Unpack(tree_raw);
-      if (entry.free == 0) {
-        return std::nullopt;
-      }
-      stolen = entry.free;
-      entry.free = 0;
-      return entry.Pack();
-    });
-    if (stolen == 0) {
+    const std::optional<uint32_t> before = AtomicUpdate(
+        state_->trees_[r.tree],
+        [](uint32_t tree_raw) -> std::optional<uint32_t> {
+          TreeEntry entry = TreeEntry::Unpack(tree_raw);
+          if (entry.free == 0) {
+            return std::nullopt;
+          }
+          entry.free = 0;
+          return entry.Pack();
+        });
+    if (!before.has_value()) {
       return std::nullopt;  // genuinely dry; caller reserves a new tree
     }
+    const uint32_t stolen = TreeEntry::Unpack(*before).free;
     Reservation next = r;
     next.free = static_cast<uint16_t>(r.free + stolen);
     uint64_t expected = raw;
@@ -234,8 +237,12 @@ bool LLFree::ReserveNewTree(unsigned slot, AllocType type, unsigned need,
   const uint64_t n = num_trees();
   const uint64_t hint =
       state_->tree_hints_[slot].load(std::memory_order_relaxed) % n;
+  // Every tree but the last holds a full tree's worth of frames.
+  const uint32_t full_cap =
+      static_cast<uint32_t>(config().areas_per_tree * kFramesPerHuge);
+  const uint32_t last_cap = static_cast<uint32_t>(TreeCapacity(n - 1));
 
-  // Preference passes (paper §4.1/§4.2 reservation policy):
+  // Preference ranks (paper §4.1/§4.2 reservation policy), best first:
   //   0. same-type trees that are meaningfully used (refill their gaps —
   //      passive defragmentation, the "prefer half depleted" heuristic)
   //   1. *compatible*-type trees with any room: movable and huge
@@ -247,88 +254,92 @@ bool LLFree::ReserveNewTree(unsigned slot, AllocType type, unsigned need,
   //      that a movable burst does not claim the gaps inside the kernel's
   //      slab trees while free trees exist (this is what makes the
   //      per-type separation effective)
-  //   4. anything with room
+  //   4. anything with room, the `avoid` tree included
+  // One scan in hint order keeps the first tree of the lowest rank and
+  // stops at the first rank 0: the tree that one pass per rank, each in
+  // hint order, would pick (DESIGN.md §4.1).
   const auto compatible = [type](AllocType other) {
     return other == type || (other != AllocType::kUnmovable &&
                              type != AllocType::kUnmovable);
   };
-  for (int pass = 0; pass < 5; ++pass) {
-    for (uint64_t i = 0; i < n; ++i) {
-      const uint64_t t = (hint + i) % n;
-      if (avoid.has_value() && t == *avoid && pass < 4) {
-        continue;
-      }
-      const uint32_t cap = static_cast<uint32_t>(TreeCapacity(t));
-      uint32_t raw = state_->trees_[t].load(std::memory_order_acquire);
+  constexpr int kNoTree = 5;
+  for (;;) {
+    HA_COUNT("llfree.tree_scan");
+    int best_rank = kNoTree;
+    uint64_t best = 0;
+    uint32_t best_raw = 0;
+    uint64_t t = hint;
+    for (uint64_t i = 0; i < n; ++i, t = t + 1 == n ? 0 : t + 1) {
+      const uint32_t raw = state_->trees_[t].load(std::memory_order_acquire);
       const TreeEntry entry = TreeEntry::Unpack(raw);
       if (entry.reserved || entry.free < need) {
         continue;
       }
-      bool eligible = false;
-      switch (pass) {
-        case 0:
-          eligible = entry.type == type && entry.free < cap - cap / 8;
-          break;
-        case 1:
-          eligible = compatible(entry.type) && entry.free < cap;
-          break;
-        case 2:
-          eligible = entry.free == cap;
-          break;
-        case 3:
-          eligible = entry.free < cap;
-          break;
-        default:
-          eligible = true;
-          break;
+      const uint32_t cap = t + 1 == n ? last_cap : full_cap;
+      int rank = 4;
+      if (avoid != t) {
+        if (entry.free < cap) {
+          rank = entry.type == type && entry.free < cap - cap / 8 ? 0
+                 : compatible(entry.type)                          ? 1
+                                                                   : 3;
+        } else if (entry.free == cap) {
+          rank = 2;
+        }
       }
-      if (!eligible) {
-        continue;
+      if (rank < best_rank) {
+        best_rank = rank;
+        best = t;
+        best_raw = raw;
+        if (rank == 0) {
+          break;
+        }
       }
-      TreeEntry claimed = entry;
-      claimed.free = 0;
-      claimed.reserved = true;
-      claimed.type = type;
-      uint32_t expected = raw;
-      if (!state_->trees_[t].compare_exchange_strong(
-              expected, claimed.Pack(), std::memory_order_acq_rel,
-              std::memory_order_acquire)) {
-        continue;  // raced; try the next tree
-      }
-
-      // Publish the new reservation; release the old one.
-      Atomic<uint64_t>& slot_atom = state_->reservations_[slot];
-      Reservation next;
-      next.active = true;
-      next.tree = static_cast<uint32_t>(t);
-      next.free = static_cast<uint16_t>(entry.free);
-      uint64_t old_raw = slot_atom.load(std::memory_order_acquire);
-      while (!slot_atom.compare_exchange_weak(old_raw, next.Pack(),
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-      }
-      const Reservation old = Reservation::Unpack(old_raw);
-      if (old.active) {
-        AtomicUpdate(state_->trees_[old.tree],
-                     [&](uint32_t tree_raw) -> std::optional<uint32_t> {
-                       TreeEntry e = TreeEntry::Unpack(tree_raw);
-                       e.free += old.free;
-                       e.reserved = false;
-                       return e.Pack();
-                     });
-      }
-      // Hints are always stored in-range so a view over a shrunk tree
-      // index can never publish an out-of-bounds search start (the load
-      // side additionally clamps with % n, defense in depth).
-      state_->tree_hints_[slot].store(t % n, std::memory_order_relaxed);
-      HA_COUNT("llfree.reserve_tree");
-      HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kReserveTree, t,
-                     slot);
-      (void)need;
-      return true;
     }
+    if (best_rank == kNoTree) {
+      return false;
+    }
+    TreeEntry claimed = TreeEntry::Unpack(best_raw);
+    const uint32_t taken = claimed.free;
+    claimed.free = 0;
+    claimed.reserved = true;
+    claimed.type = type;
+    uint32_t expected = best_raw;
+    if (!state_->trees_[best].compare_exchange_strong(
+            expected, claimed.Pack(), std::memory_order_acq_rel,
+            std::memory_order_acquire)) {
+      continue;  // raced: the ranking is stale, rescan
+    }
+
+    // Publish the new reservation; release the old one.
+    Atomic<uint64_t>& slot_atom = state_->reservations_[slot];
+    Reservation next;
+    next.active = true;
+    next.tree = static_cast<uint32_t>(best);
+    next.free = static_cast<uint16_t>(taken);
+    uint64_t old_raw = slot_atom.load(std::memory_order_acquire);
+    while (!slot_atom.compare_exchange_weak(old_raw, next.Pack(),
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+    }
+    const Reservation old = Reservation::Unpack(old_raw);
+    if (old.active) {
+      AtomicUpdate(state_->trees_[old.tree],
+                   [&](uint32_t tree_raw) -> std::optional<uint32_t> {
+                     TreeEntry e = TreeEntry::Unpack(tree_raw);
+                     e.free += old.free;
+                     e.reserved = false;
+                     return e.Pack();
+                   });
+    }
+    // Hints are always stored in-range so a view over a shrunk tree
+    // index can never publish an out-of-bounds search start (the load
+    // side additionally clamps with % n, defense in depth).
+    state_->tree_hints_[slot].store(best, std::memory_order_relaxed);
+    HA_COUNT("llfree.reserve_tree");
+    HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kReserveTree, best,
+                   slot);
+    return true;
   }
-  return false;
 }
 
 void LLFree::DrainReservations() {
@@ -427,16 +438,16 @@ unsigned LLFree::GetBatch(unsigned core, unsigned order, unsigned count,
   const unsigned run = 1u << order;
   const unsigned slot = SlotFor(core, type);
   unsigned claimed = 0;
+  bool dry = false;  // no tree could be reserved
   std::optional<uint64_t> avoid;
   for (unsigned attempt = 0;
-       attempt < kMaxReserveAttempts && claimed < count; ++attempt) {
+       attempt < kMaxReserveAttempts && claimed < count && !dry;
+       ++attempt) {
     unsigned taken_runs = 0;
     const std::optional<uint64_t> tree =
         TakeUpToFromReservation(slot, run, count - claimed, &taken_runs);
     if (!tree.has_value()) {
-      if (!ReserveNewTree(slot, type, run, avoid)) {
-        break;
-      }
+      dry = !ReserveNewTree(slot, type, run, avoid);
       continue;
     }
     const unsigned got = SearchTreeBatch(*tree, order, taken_runs, out);
@@ -446,9 +457,7 @@ unsigned LLFree::GetBatch(unsigned core, unsigned order, unsigned count,
       // (fragmentation or a race): return the shortfall and move on.
       GiveBack(slot, *tree, (taken_runs - got) * run);
       avoid = *tree;
-      if (!ReserveNewTree(slot, type, run, avoid)) {
-        break;
-      }
+      dry = !ReserveNewTree(slot, type, run, avoid);
     }
   }
   // The singles tail below counts its own "llfree.get"s.
@@ -459,10 +468,14 @@ unsigned LLFree::GetBatch(unsigned core, unsigned order, unsigned count,
     HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kGet,
                    out->at(out->size() - claimed), order);
   }
-  // Tail under pressure: fall back to single Gets so the batch keeps the
+  // Tail under pressure: one run per transaction, so the batch keeps the
   // exact semantics (fallback steal included) of `count` single calls.
+  // Once the reservation scan has failed, a single Get would repeat it
+  // and fail again, so a dry tail goes straight to the fallback
+  // (DESIGN.md §4.10).
   while (claimed < count) {
-    const Result<FrameId> r = Get(core, order, type);
+    const Result<FrameId> r =
+        dry ? GetFallback(order, false) : Get(core, order, type);
     if (!r.ok()) {
       break;
     }
@@ -484,16 +497,16 @@ unsigned LLFree::GetBatchHuge(unsigned core, unsigned count, AllocType type,
                                                          : type;
   const unsigned slot = SlotFor(core, effective_type);
   unsigned claimed = 0;
+  bool dry = false;  // no tree could be reserved
   std::optional<uint64_t> avoid;
   for (unsigned attempt = 0;
-       attempt < kMaxReserveAttempts && claimed < count; ++attempt) {
+       attempt < kMaxReserveAttempts && claimed < count && !dry;
+       ++attempt) {
     unsigned taken_runs = 0;
     const std::optional<uint64_t> tree = TakeUpToFromReservation(
         slot, kFramesPerHuge, count - claimed, &taken_runs);
     if (!tree.has_value()) {
-      if (!ReserveNewTree(slot, effective_type, kFramesPerHuge, avoid)) {
-        break;
-      }
+      dry = !ReserveNewTree(slot, effective_type, kFramesPerHuge, avoid);
       continue;
     }
     const unsigned got = SearchTreeHugeBatch(*tree, taken_runs, out);
@@ -503,9 +516,7 @@ unsigned LLFree::GetBatchHuge(unsigned core, unsigned count, AllocType type,
       // (fragmentation or a race): return the shortfall and move on.
       GiveBack(slot, *tree, (taken_runs - got) * kFramesPerHuge);
       avoid = *tree;
-      if (!ReserveNewTree(slot, effective_type, kFramesPerHuge, avoid)) {
-        break;
-      }
+      dry = !ReserveNewTree(slot, effective_type, kFramesPerHuge, avoid);
     }
   }
   // The singles tail below counts its own "llfree.get"s.
@@ -516,10 +527,11 @@ unsigned LLFree::GetBatchHuge(unsigned core, unsigned count, AllocType type,
     HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kGet,
                    out->at(out->size() - claimed), kHugeOrder);
   }
-  // Tail under pressure: fall back to single Gets so the batch keeps the
-  // exact semantics (fallback steal included) of `count` single calls.
+  // Tail under pressure: single transactions, straight to the fallback
+  // once the reservation scan has failed (as in GetBatch).
   while (claimed < count) {
-    const Result<FrameId> r = Get(core, kHugeOrder, type);
+    const Result<FrameId> r = dry ? GetFallback(kHugeOrder, true)
+                                  : Get(core, kHugeOrder, type);
     if (!r.ok()) {
       break;
     }
@@ -535,8 +547,15 @@ Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
   // free frames. Steal directly from the global tree counters, ignoring
   // the reserved flag.
   HA_COUNT("llfree.fallback_steal");
+  HA_COUNT("llfree.tree_scan");
   const unsigned need = 1u << order;
   for (uint64_t t = 0; t < num_trees(); ++t) {
+    // Most trees are dry under pressure: a plain read skips them without
+    // entering the CAS transaction.
+    if (TreeEntry::Unpack(state_->trees_[t].load(std::memory_order_acquire))
+            .free < need) {
+      continue;
+    }
     const auto stolen = AtomicUpdate(
         state_->trees_[t], [&](uint32_t raw) -> std::optional<uint32_t> {
           TreeEntry entry = TreeEntry::Unpack(raw);

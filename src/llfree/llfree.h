@@ -295,9 +295,10 @@ class LLFree {
   // at `tree`, otherwise to the tree's global counter.
   void GiveBack(unsigned slot, uint64_t tree, unsigned need);
 
-  // Reserves a new tree for `slot` (preference order per §4.1/§4.2) and
-  // moves its free counter into the local reservation, pre-charging
-  // `need` frames. `avoid` is a tree to skip (just searched, failed).
+  // Reserves a new tree with at least `need` free frames for `slot`
+  // (preference order per §4.1/§4.2, one scan of the tree index) and
+  // moves its free counter into the local reservation. `avoid` (a tree
+  // just searched without success) is taken only as a last resort.
   bool ReserveNewTree(unsigned slot, AllocType type, unsigned need,
                       std::optional<uint64_t> avoid);
 

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "src/guest/guest_vm.h"
+#include "src/trace/trace.h"
 
 namespace hyperalloc::guest {
 namespace {
@@ -283,6 +284,39 @@ TEST_F(GuestVmTest, LLFreeGuestSharesStateWithMonitorView) {
   const Result<FrameId> r = vm_->Alloc(kHugeOrder, AllocType::kHuge);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(monitor.ReadArea(FrameToHuge(*r - zone.start)).allocated);
+}
+
+TEST_F(GuestVmTest, FullNormalZoneProbeScansTreeIndexTwice) {
+#if !HYPERALLOC_TRACE
+  GTEST_SKIP() << "counters compiled out (HYPERALLOC_TRACE=0)";
+#else
+  // The Fig. 4 VM (20 GiB, 2 GiB DMA32) after its preparation filled
+  // the 18 GiB Normal zone with huge frames. A 4 KiB allocation probes
+  // the dry Normal zone before DMA32 serves it; the probe may cost one
+  // failed reservation scan plus one fallback scan of the 1152-tree
+  // index, not one scan per preference pass and a second reservation
+  // attempt (11 scans).
+  GuestConfig config;
+  config.allocator = AllocatorKind::kLLFree;
+  Init(config);
+  const Zone& dma32 = vm_->zones()[0];
+  Zone& normal = vm_->zones()[1];
+  ASSERT_EQ(normal.kind, ZoneKind::kNormal);
+  ASSERT_EQ(normal.llfree->num_trees(), 1152u);
+  for (uint64_t i = 0; i < normal.llfree->num_areas(); ++i) {
+    ASSERT_TRUE(normal.llfree->Get(0, kHugeOrder, AllocType::kHuge).ok());
+  }
+  // The first allocation also refills DMA32's frame cache; the next one
+  // is served from that cache, so every scan it makes is Normal's.
+  ASSERT_TRUE(vm_->Alloc(0, AllocType::kMovable).ok());
+  const trace::Counter& scans =
+      trace::CounterRegistry::Global().FindOrCreate("llfree.tree_scan");
+  const uint64_t before = scans.Value();
+  const Result<FrameId> r = vm_->Alloc(0, AllocType::kMovable);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(dma32.Contains(*r));
+  EXPECT_LE(scans.Value() - before, 2u);
+#endif  // HYPERALLOC_TRACE
 }
 
 TEST_F(GuestVmTest, FreeWithWrongOrderAborts) {

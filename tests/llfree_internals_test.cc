@@ -1,12 +1,16 @@
 // White-box tests for the LLFree building blocks: the per-area bit field
-// and the packed area/tree/reservation entries (paper §4.1 layouts), plus
-// the per-slot tree search hints.
+// and the packed area/tree/reservation entries (paper §4.1 layouts), the
+// per-slot tree search hints, and the tree reservation policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <optional>
 #include <set>
+#include <vector>
 
+#include "src/base/rng.h"
 #include "src/llfree/bitfield.h"
 #include "src/llfree/entries.h"
 #include "src/llfree/llfree.h"
@@ -283,6 +287,182 @@ TEST(TreeHints, OutOfRangeHintIsToleratedAndReclamped) {
   EXPECT_TRUE(any_reclamped);
   EXPECT_TRUE(llfree.Validate());
   EXPECT_FALSE(llfree.Put(*frame, 0).has_value());
+}
+
+// The reservation policy written as five sequential preference passes
+// over the tree index, each in hint order (DESIGN.md §4.1). Returns the
+// tree and the pass that accepted it. The allocator ranks every tree in
+// one scan instead; this is the reference it must agree with.
+struct PassPick {
+  uint64_t tree = 0;
+  int pass = 0;
+};
+
+std::optional<PassPick> FivePassPick(const std::vector<TreeEntry>& trees,
+                                     const std::vector<uint32_t>& caps,
+                                     uint64_t hint, AllocType type,
+                                     unsigned need,
+                                     std::optional<uint64_t> avoid) {
+  const uint64_t n = trees.size();
+  const auto compatible = [type](AllocType other) {
+    return other == type || (other != AllocType::kUnmovable &&
+                             type != AllocType::kUnmovable);
+  };
+  for (int pass = 0; pass < 5; ++pass) {
+    for (uint64_t i = 0; i < n; ++i) {
+      const uint64_t t = (hint + i) % n;
+      if (avoid == t && pass < 4) {
+        continue;
+      }
+      const TreeEntry& entry = trees[t];
+      const uint32_t cap = caps[t];
+      if (entry.reserved || entry.free < need) {
+        continue;
+      }
+      const bool eligible =
+          pass == 0   ? entry.type == type && entry.free < cap - cap / 8
+          : pass == 1 ? compatible(entry.type) && entry.free < cap
+          : pass == 2 ? entry.free == cap
+          : pass == 3 ? entry.free < cap
+                      : true;
+      if (eligible) {
+        return PassPick{t, pass};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(ReservationPolicy, OneScanPicksTheFivePassTree) {
+  Rng rng(20250417);
+  // Picks per accepting pass (index 5: no tree), so the test can prove
+  // it reached every rank, the avoid tree and the dry index.
+  std::array<int, 6> picks{};
+  int avoid_rounds = 0;
+  for (int round = 0; round < 4000; ++round) {
+    Config config;
+    config.mode = rng.Chance(0.75) ? Config::ReservationMode::kPerType
+                                   : Config::ReservationMode::kPerCore;
+    config.cores = 2;
+    config.areas_per_tree = static_cast<unsigned>(2u << rng.Below(3));
+    const uint64_t full_trees = rng.Range(0, 9);
+    // The last tree is short about half the time.
+    const uint64_t last_areas = rng.Chance(0.5)
+                                    ? config.areas_per_tree
+                                    : rng.Range(1, config.areas_per_tree);
+    const uint64_t areas = full_trees * config.areas_per_tree + last_areas;
+    SharedState state(areas * kFramesPerHuge, config);
+    const uint64_t n = state.num_trees();
+    ASSERT_EQ(n, full_trees + 1);
+
+    std::vector<TreeEntry> trees(n);
+    std::vector<uint32_t> caps(n);
+    for (uint64_t t = 0; t < n; ++t) {
+      caps[t] = static_cast<uint32_t>(
+          std::min<uint64_t>(config.areas_per_tree,
+                             areas - t * config.areas_per_tree) *
+          kFramesPerHuge);
+      const uint32_t cap = caps[t];
+      const uint32_t seven_eighths = cap - cap / 8;
+      TreeEntry& entry = trees[t];
+      switch (rng.Below(5)) {
+        case 0: entry.free = 0; break;
+        case 1: entry.free = static_cast<uint32_t>(
+                    rng.Range(1, seven_eighths - 1)); break;
+        case 2: entry.free = seven_eighths; break;
+        case 3: entry.free = static_cast<uint32_t>(
+                    rng.Range(seven_eighths, cap)); break;
+        default: entry.free = cap; break;
+      }
+      entry.reserved = rng.Chance(0.25);
+      entry.type = static_cast<AllocType>(rng.Below(kNumAllocTypes));
+      state.trees()[t].store(entry.Pack(), std::memory_order_relaxed);
+    }
+
+    const bool huge = rng.Chance(0.3);
+    const bool batch = rng.Chance(0.5);
+    const unsigned core = static_cast<unsigned>(rng.Below(2));
+    const AllocType type = static_cast<AllocType>(rng.Below(kNumAllocTypes));
+    const AllocType effective =
+        huge && config.mode == Config::ReservationMode::kPerType
+            ? AllocType::kHuge
+            : type;
+    const unsigned slot = config.mode == Config::ReservationMode::kPerCore
+                              ? core
+                              : static_cast<unsigned>(effective);
+    const unsigned need = huge ? kFramesPerHuge : 1;
+    // Hints past the index end wrap (the allocator clamps with % n).
+    const uint64_t hint = rng.Below(3 * n);
+    state.tree_hints()[slot].store(hint, std::memory_order_relaxed);
+
+    // An avoid tree only arises inside Get: the slot's reserved tree
+    // could not serve the request. Park a reservation over a tree whose
+    // areas are all taken and whose index entry is (racily) unreserved.
+    std::optional<uint64_t> avoid;
+    if (!batch && rng.Chance(0.3)) {
+      avoid = rng.Below(n);
+      ++avoid_rounds;
+      trees[*avoid].reserved = false;
+      state.trees()[*avoid].store(trees[*avoid].Pack(),
+                                  std::memory_order_relaxed);
+      AreaEntry taken;
+      taken.allocated = true;
+      const uint64_t first = *avoid * config.areas_per_tree;
+      for (uint64_t a = first; a < first + caps[*avoid] / kFramesPerHuge;
+           ++a) {
+        state.areas()[a].store(taken.Pack(), std::memory_order_relaxed);
+      }
+      Reservation parked;
+      parked.active = true;
+      parked.tree = static_cast<uint32_t>(*avoid);
+      parked.free = static_cast<uint16_t>(need);
+      state.reservations()[slot].store(parked.Pack(),
+                                       std::memory_order_relaxed);
+    }
+
+    const std::optional<PassPick> want =
+        FivePassPick(trees, caps, hint % n, effective, need, avoid);
+    ++picks[want.has_value() ? want->pass : 5];
+
+    LLFree alloc(&state);
+    const unsigned order = huge ? kHugeOrder : 0;
+    std::vector<FrameId> got;
+    Result<FrameId> single = AllocError::kNoMemory;
+    if (batch) {
+      alloc.GetBatch(core, order, 1, type, &got);
+    } else {
+      single = alloc.Get(core, order, type);
+    }
+    const Reservation r = alloc.ReadReservation(slot);
+    SCOPED_TRACE(testing::Message()
+                 << "round " << round << " hint " << hint << " trees " << n
+                 << " need " << need << " type " << static_cast<int>(effective));
+    if (want.has_value() && want->tree != avoid) {
+      // The chosen tree's areas are free, so the claim is served there.
+      ASSERT_TRUE(r.active);
+      EXPECT_EQ(r.tree, want->tree);
+      const FrameId frame = batch ? (got.empty() ? ~0ull : got[0])
+                                  : (single.ok() ? *single : ~0ull);
+      EXPECT_EQ(frame / (config.areas_per_tree * kFramesPerHuge),
+                want->tree);
+    } else if (want.has_value()) {
+      // Re-reserving the avoid tree cannot help: Get gives up after its
+      // bounded attempts instead of falling back.
+      ASSERT_FALSE(single.ok());
+      EXPECT_EQ(single.error(), AllocError::kRetry);
+      EXPECT_EQ(r.tree, *avoid);
+    } else if (avoid.has_value()) {
+      ASSERT_TRUE(r.active);
+      EXPECT_EQ(r.tree, *avoid);  // no tree reserved: parked one stays
+      EXPECT_FALSE(!single.ok() && single.error() == AllocError::kRetry);
+    } else {
+      EXPECT_FALSE(r.active);
+    }
+  }
+  for (int pass = 0; pass < 6; ++pass) {
+    EXPECT_GT(picks[pass], 20) << "pass " << pass;
+  }
+  EXPECT_GT(avoid_rounds, 200);
 }
 
 TEST(AtomicUpdate, RetriesAndAborts) {

@@ -193,6 +193,75 @@ TEST_F(LLFreeTest, GetBatchPartialWhenNearlyFull) {
   EXPECT_TRUE(alloc_->Validate());
 }
 
+// A zone whose tree counters are all zero: the unmovable slot reserved
+// tree 0 with one Get, then huge frames took every area outside it. The
+// only free frames sit in the unmovable slot's reservation, so a
+// movable or huge request can be served only by the fallback steal.
+void MakeDryZone(LLFree* alloc) {
+  const uint64_t outside =
+      alloc->num_areas() - alloc->config().areas_per_tree;
+  ASSERT_TRUE(alloc->Get(0, 0, AllocType::kUnmovable).ok());
+  ASSERT_EQ(alloc->ReadReservation(0).tree, 0u);
+  for (uint64_t i = 0; i < outside; ++i) {
+    const Result<FrameId> r = alloc->Get(0, kHugeOrder, AllocType::kHuge);
+    ASSERT_TRUE(r.ok());
+    ASSERT_GE(*r, alloc->TreeCapacity(0));
+  }
+  for (uint64_t t = 0; t < alloc->num_trees(); ++t) {
+    ASSERT_EQ(alloc->ReadTree(t).free, 0u) << "tree " << t;
+  }
+}
+
+TEST_F(LLFreeTest, DryZoneBatchMatchesSingles) {
+  // Twin states: the batch's tail goes straight to the fallback once no
+  // tree can be reserved, and must hand out exactly the frames, in
+  // order, that `count` single Gets hand out — including running dry
+  // part-way through.
+  for (const unsigned order : {0u, kHugeOrder}) {
+    SCOPED_TRACE(testing::Message() << "order " << order);
+    Config config;
+    config.areas_per_tree = 4;
+    Init(kFrames64MiB, config);
+    SharedState single_state(kFrames64MiB, config);
+    LLFree single(&single_state);
+    MakeDryZone(alloc_.get());
+    MakeDryZone(&single);
+
+    const unsigned count = order == 0 ? 2100 : 5;
+    std::vector<FrameId> batched;
+    const unsigned got = alloc_->GetBatch(0, order, count,
+                                          AllocType::kMovable, &batched);
+    std::vector<FrameId> singles;
+    for (unsigned i = 0; i < count; ++i) {
+      const Result<FrameId> r = single.Get(0, order, AllocType::kMovable);
+      if (!r.ok()) {
+        break;
+      }
+      singles.push_back(*r);
+    }
+    // Tree 0 kept 3 whole areas next to the area of the unmovable frame.
+    EXPECT_EQ(got, order == 0 ? 2047u : 3u);
+    EXPECT_EQ(batched, singles);
+    EXPECT_EQ(alloc_->FreeFrames(), single.FreeFrames());
+    EXPECT_TRUE(alloc_->Validate());
+    EXPECT_TRUE(single.Validate());
+  }
+}
+
+TEST_F(LLFreeTest, GetBatchOnEmptyZoneReturnsZero) {
+  Init(kFrames16MiB);
+  for (uint64_t i = 0; i < alloc_->num_areas(); ++i) {
+    ASSERT_TRUE(alloc_->Get(0, kHugeOrder, AllocType::kHuge).ok());
+  }
+  for (const unsigned order : {0u, 3u, kHugeOrder}) {
+    std::vector<FrameId> out;
+    EXPECT_EQ(alloc_->GetBatch(0, order, 8, AllocType::kMovable, &out), 0u);
+    EXPECT_TRUE(out.empty());
+  }
+  EXPECT_EQ(alloc_->FreeFrames(), 0u);
+  EXPECT_TRUE(alloc_->Validate());
+}
+
 TEST_F(LLFreeTest, FrameCacheHitsAvoidAllocator) {
   Init(kFrames16MiB);
   FrameCache::CacheConfig cc;

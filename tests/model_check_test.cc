@@ -31,6 +31,7 @@
 #include "src/llfree/frame_cache.h"
 #include "src/llfree/llfree.h"
 #include "src/trace/span_ring.h"
+#include "src/trace/trace.h"
 
 namespace hyperalloc::check {
 namespace {
@@ -63,6 +64,7 @@ struct Ctx {
   // ints are safe).
   int reclaimed = 0;
   int put_ok = 0;
+  int held = 0;  // frames handed out by Gets and still owned
 
   Ctx(uint64_t frames, const Config& cfg)
       : state(frames, cfg),
@@ -866,6 +868,137 @@ Scenario LostMigrationMutant() {
   };
 }
 
+// --------------------------------------------------------------------
+// Scenario 10: two per-type slots (movable, unmovable) race the
+// one-scan tree reservation for the last eligible tree. Both slots
+// start their search at tree 0, so both rank it first; the slot whose
+// CAS loses must rescan. With a spare tree the rescan reserves it and
+// both Gets succeed. Without one the loser falls back and steals from
+// the winner's reservation — or fails, if the winner has claimed the
+// tree but not yet published its reservation (those frames are in
+// neither counter for a moment, as in every LLFree reservation). At
+// every step no tree is named by two active reservations and every
+// active reservation's tree is marked reserved; at quiescence
+// Validate() holds and the frames balance. `rescans` counts the
+// executions in which a reservation CAS was lost (from
+// "llfree.tree_scan": each lost CAS costs one more scan).
+// --------------------------------------------------------------------
+uint64_t TreeScans() {
+  return trace::CounterRegistry::Global()
+      .FindOrCreate("llfree.tree_scan")
+      .Value();
+}
+
+void CheckReservationsDisjoint(const LLFree& ll) {
+  const unsigned slots = ll.config().NumSlots();
+  for (unsigned s = 0; s < slots; ++s) {
+    const llfree::Reservation r = ll.ReadReservation(s);
+    if (!r.active) {
+      continue;
+    }
+    Require(ll.ReadTree(r.tree).reserved,
+            "an active reservation names an unreserved tree");
+    for (unsigned other = s + 1; other < slots; ++other) {
+      const llfree::Reservation o = ll.ReadReservation(other);
+      Require(!o.active || o.tree != r.tree,
+              "two slots reserved the same tree");
+    }
+  }
+}
+
+Scenario ReserveRaceForLastTree(unsigned trees, uint64_t* rescans) {
+  return [trees, rescans](Execution& exec) {
+    Config cfg;
+    cfg.mode = Config::ReservationMode::kPerType;
+    cfg.areas_per_tree = 1;
+    const uint64_t frames = trees * kFramesPerHuge;
+    auto c = std::make_shared<Ctx>(frames, cfg);
+    for (unsigned s = 0; s < cfg.NumSlots(); ++s) {
+      c->state.tree_hints()[s].store(0, std::memory_order_relaxed);
+    }
+    for (const AllocType type :
+         {AllocType::kMovable, AllocType::kUnmovable}) {
+      exec.Spawn([c, type, trees] {
+        std::vector<std::pair<FrameId, unsigned>> held;
+        GetAndHold(c, 0, 0, type, &held);
+        Require(trees == 1 || held.size() == 1,
+                "a racing Get failed while a spare tree was free");
+        c->held += static_cast<int>(held.size());
+      });
+    }
+    exec.OnStep([c] {
+      CheckStepInvariants(c->state);
+      c->owner();
+      CheckReservationsDisjoint(c->guest);
+    });
+    // Scans without a lost CAS: one per Get, plus the loser's failed
+    // scan and fallback scan when no spare tree exists.
+    const uint64_t scans_before = TreeScans();
+    const uint64_t uncontended = trees == 1 ? 3 : 2;
+    exec.OnEnd([c, trees, frames, rescans, scans_before, uncontended] {
+      CheckQuiescent(c->guest);
+      Require(c->guest.FreeFrames() ==
+                  frames - static_cast<uint64_t>(c->held),
+              "reservation race: frames leaked or double-counted");
+      unsigned active = 0;
+      for (unsigned s = 0; s < c->guest.config().NumSlots(); ++s) {
+        active += c->guest.ReadReservation(s).active ? 1 : 0;
+      }
+      Require(active == trees,
+              "the race loser neither reserved the spare tree nor fell "
+              "back");
+      if (TreeScans() - scans_before > uncontended) {
+        ++*rescans;
+      }
+    });
+  };
+}
+
+// --------------------------------------------------------------------
+// Scenario 11: two Gets sharing one per-type slot race the put-reserve
+// resync. The slot's reservation is dry and its tree's global counter
+// holds two freed frames, so both Gets try to steal that counter into
+// the reservation. The loser's update retries, finds the counter
+// already emptied and must steal nothing; a count kept from its first
+// try would credit frames that were never taken (regression: the step
+// oracle's per-tree bound catches the double credit).
+// --------------------------------------------------------------------
+Scenario ResyncStealRace() {
+  return [](Execution& exec) {
+    Config cfg;
+    cfg.mode = Config::ReservationMode::kPerType;
+    cfg.areas_per_tree = 1;
+    auto c = std::make_shared<Ctx>(kFramesPerHuge, cfg);
+    std::vector<FrameId> all;
+    Require(c->guest.GetBatch(0, 0, kFramesPerHuge, AllocType::kMovable,
+                              &all) == kFramesPerHuge,
+            "prefill batch failed");
+    for (size_t i = 2; i < all.size(); ++i) {
+      c->owner.Acquire(all[i], 0);
+    }
+    for (size_t i = 0; i < 2; ++i) {
+      Require(!c->guest.Put(all[i], 0).has_value(), "prefill put failed");
+    }
+    for (int t = 0; t < 2; ++t) {
+      exec.Spawn([c] {
+        std::vector<std::pair<FrameId, unsigned>> held;
+        GetAndHold(c, 0, 0, AllocType::kMovable, &held);
+        c->held += static_cast<int>(held.size());
+      });
+    }
+    exec.OnStep([c] {
+      CheckStepInvariants(c->state);
+      c->owner();
+    });
+    exec.OnEnd([c] {
+      CheckQuiescent(c->guest);
+      Require(c->guest.FreeFrames() ==
+                  2 - static_cast<uint64_t>(c->held),
+              "resync race: frames leaked or double-counted");
+    });
+  };
+}
+
 RunResult ExploreRandom(const Scenario& scenario, uint64_t iterations,
                         uint64_t seed = 1) {
   Options opt;
@@ -982,6 +1115,44 @@ TEST(ModelCheckScenarios, CompactionReformsHugeFrame) {
   opt.mode = Options::Mode::kExhaustive;
   opt.max_executions = ScaledIters(4000);
   ExpectClean(Explore(opt, CompactionReformsHugeFrame()));
+}
+
+TEST(ModelCheckScenarios, ReserveRaceRescansOrFallsBack) {
+  for (const unsigned trees : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << trees << " tree(s)");
+    uint64_t random_rescans = 0;
+    ExpectClean(ExploreRandom(ReserveRaceForLastTree(trees, &random_rescans),
+                              ScaledIters(1500)));
+    // Exhaustive pass: time-boxed like the compaction scenario above.
+    Options opt;
+    opt.mode = Options::Mode::kExhaustive;
+    opt.max_executions = ScaledIters(4000);
+    uint64_t exhaustive_rescans = 0;
+    ExpectClean(
+        Explore(opt, ReserveRaceForLastTree(trees, &exhaustive_rescans)));
+#if HYPERALLOC_TRACE
+    // The oracles above must have seen the rescan, not only the
+    // uncontended path. The DFS prefix reaches a lost CAS through stale
+    // reads; under sequential consistency the interleaving lies beyond
+    // the time box, so only the random walks prove it there.
+    if (ScaledIters(1500) == 1500) {
+      EXPECT_GT(random_rescans, 0u)
+          << "no random walk lost the reservation CAS";
+    }
+    if (Options{}.memory_model && ScaledIters(4000) == 4000) {
+      EXPECT_GT(exhaustive_rescans, 0u)
+          << "the exhaustive prefix never lost the reservation CAS";
+    }
+#endif
+  }
+}
+
+TEST(ModelCheckScenarios, ResyncStealRaceStealsOnce) {
+  ExpectClean(ExploreRandom(ResyncStealRace(), ScaledIters(1500)));
+  Options opt;
+  opt.mode = Options::Mode::kExhaustive;
+  opt.max_executions = ScaledIters(4000);
+  ExpectClean(Explore(opt, ResyncStealRace()));
 }
 
 TEST(ModelCheckMutant, RandomWalkFindsLostMigration) {
