@@ -14,7 +14,6 @@
 
 #include "src/balloon/virtio_balloon.h"
 #include "src/core/hyperalloc.h"
-#include "src/core/hyperalloc_generic.h"
 #include "src/fault/fault.h"
 #include "src/fleet/fleet.h"
 #include "src/guest/guest_vm.h"

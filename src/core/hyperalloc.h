@@ -1,15 +1,17 @@
 // HyperAlloc — the paper's contribution: VM memory de/inflation via a
 // hypervisor-shared page-frame allocator (§3–4).
 //
-// The monitor holds a clone of each guest zone's LLFree allocator over the
-// *same* shared state and manipulates guest-visible per-frame state (the
-// A/E bits in the area index) with single CAS transactions — no guest
-// transition is needed to find or claim reclaimable memory. The monitor's
-// own authoritative state is the per-huge-frame R array (I/S/H).
+// The monitor manipulates guest-visible per-huge-frame state (the A/E
+// bits) through a guest-state bridge (src/core/guest_state.h): LLFree's
+// shared area index for LLFree guests, or the auxiliary (A, E) bitmap for
+// buddy guests (§6 "Concept Generalization"). The monitor's own
+// authoritative state is the per-huge-frame R array (I/S/H/Q), one per
+// bridge; the state machine below is written once for both.
 //
 // Mechanisms (paper §3.2/§3.3):
 //  * Hard reclamation  — lowers the VM's hard memory limit: A<-1, E<-1,
-//    unmap (batched madvise over contiguous runs), R<-H.
+//    unmap (batched madvise over contiguous runs), R<-H. A buddy guest's
+//    frames are allocated through the guest instead (the balloon path).
 //  * Return            — raises the limit: A<-0 (E stays 1), R<-S. No
 //    host memory moves; 229 ns of state work per huge frame.
 //  * Install           — the guest's allocation of an evicted frame
@@ -23,8 +25,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
+#include "src/core/guest_state.h"
 #include "src/core/reclaim_states.h"
 #include "src/fault/fault.h"
 #include "src/guest/guest_vm.h"
@@ -42,7 +46,7 @@ struct HyperAllocConfig {
   // §6 "Beyond Memory Reclamation": start with a hard limit below the
   // guest-physical memory size ("starting with a large guest-physical
   // memory but low hard limit"), so the VM can later grow beyond its
-  // boot-time allotment. 0 = full memory.
+  // boot-time allotment. 0 = full memory. LLFree guests only.
   uint64_t initial_limit_bytes = 0;
   // §5.3 ablation: integrate the monitor into KVM instead of QEMU. The
   // install hypercall loses its extra kernel->user context switch (cost
@@ -60,19 +64,16 @@ struct HyperAllocConfig {
 
 class HyperAllocMonitor : public hv::Deflator {
  public:
-  // The guest must use the LLFree allocator. The monitor maps each zone's
-  // allocator state (paper §4.2 "Locating the Allocator State"), installs
-  // the install-hypercall handler, and marks all memory soft-reclaimed:
-  // a freshly booted VM has no populated memory, so every first
-  // allocation installs its huge frame.
+  // An LLFree guest gets one bridge per zone over the zone's shared
+  // allocator state (paper §4.2 "Locating the Allocator State"); a buddy
+  // guest gets one auxiliary (A, E) bridge for the whole VM. The monitor
+  // installs the install-hypercall handler and marks all memory
+  // soft-reclaimed: a freshly booted VM has no populated memory, so every
+  // first allocation installs its huge frame.
   HyperAllocMonitor(guest::GuestVm* vm, const HyperAllocConfig& config);
 
-  hv::DeflatorCaps caps() const override {
-    return {.name = "HyperAlloc",
-            .dma_safe = true,
-            .supports_auto = true,
-            .granularity_bytes = kHugeSize};
-  }
+  // "HyperAlloc" on an LLFree guest, "HyperAlloc-generic" on a buddy one.
+  hv::DeflatorCaps caps() const override;
 
   void Request(const hv::ResizeRequest& request) override;
   uint64_t limit_bytes() const override;
@@ -120,7 +121,8 @@ class HyperAllocMonitor : public hv::Deflator {
 
   // §6 swap-strategy hook: the shared tree index carries each tree's
   // allocation type, so the host can prefer (e.g.) swapping movable user
-  // memory over unmovable kernel memory. Read-only shared-state access.
+  // memory over unmovable kernel memory. Read-only shared-state access;
+  // LLFree guests only, like IsHot.
   AllocType TreeTypeOf(HugeId global_huge) const;
   // §6 hotness hints: whether the guest accessed the huge frame since
   // the last few auto-reclamation scans (which age the counters).
@@ -133,20 +135,19 @@ class HyperAllocMonitor : public hv::Deflator {
   uint64_t AutoReclaimPass();
 
  private:
-  struct ZoneView {
-    guest::Zone* zone;
-    std::unique_ptr<llfree::LLFree> monitor_view;  // clone on shared state
+  // One bridge with the monitor's state for the frames it covers.
+  struct View {
+    std::unique_ptr<GuestStateBridge> bridge;
+    HugeId first;  // global id of the bridge's frame 0
     ReclaimStateArray states;
     HugeId hint = 0;
 
-    ZoneView(guest::Zone* z, uint64_t num_huge)
-        : zone(z), states(num_huge) {}
+    View(std::unique_ptr<GuestStateBridge> b, HugeId first_huge,
+         uint64_t num_huge)
+        : bridge(std::move(b)), first(first_huge), states(num_huge) {}
   };
 
-  // Zones in reclamation order: Normal zones first, then DMA32 (§4.2).
-  std::vector<ZoneView*> ReclaimOrder();
-
-  void Install(ZoneView& view, HugeId local_huge);
+  void Install(View& view, HugeId local_huge);
 
   // One shrink slice; escalation: 0 = free memory only, 1 = purge
   // allocator caches + raid reserved trees, 2 = evict page cache.
@@ -165,8 +166,8 @@ class HyperAllocMonitor : public hv::Deflator {
   void AutoTick();
 
   // --- Fault recovery (DESIGN.md §4.9) -------------------------------
-  // Maps a global huge id back to its zone view + local id.
-  ZoneView* FindView(HugeId global_huge, HugeId* local_huge);
+  // Maps a global huge id back to its view + local id.
+  View* FindView(HugeId global_huge, HugeId* local_huge) const;
   // Charges the exponential backoff before retry number `retry` (0-based)
   // and bumps the retry accounting (innermost span + request span).
   void ChargeBackoff(unsigned retry);
@@ -174,11 +175,10 @@ class HyperAllocMonitor : public hv::Deflator {
   void NoteFault();
   // Reverts a huge frame whose unmap failed transiently to its
   // pre-reclaim state (H -> S via return, S -> I via E-bit clear).
-  void RollbackFrame(ZoneView& view, HugeId local_huge, HugeId global_huge);
+  void RollbackFrame(View& view, HugeId local_huge, HugeId global_huge);
   // Poisons a single huge frame (absorbing Q state); trips VM quarantine
   // at config_.quarantine_frame_limit.
-  void QuarantineFrame(ZoneView& view, HugeId local_huge,
-                       HugeId global_huge);
+  void QuarantineFrame(View& view, HugeId local_huge, HugeId global_huge);
   void QuarantineVm();
   // True once the current request's deadline has passed.
   bool RequestTimedOut() const;
@@ -186,9 +186,12 @@ class HyperAllocMonitor : public hv::Deflator {
   guest::GuestVm* vm_;
   HyperAllocConfig config_;
   sim::Simulation* sim_;
-  std::vector<std::unique_ptr<ZoneView>> zones_;
+  hv::CpuAccounting cpu_;
+  // In zone order (the return order); LLFree has one view per zone.
+  std::vector<std::unique_ptr<View>> views_;
+  // Reclamation order: Normal zones first, then DMA32 (§4.2).
+  std::vector<View*> reclaim_order_;
 
-  uint64_t total_huge_;
   uint64_t hard_reclaimed_huge_ = 0;
   bool busy_ = false;
   bool auto_running_ = false;
@@ -203,7 +206,6 @@ class HyperAllocMonitor : public hv::Deflator {
   uint64_t fault_rollbacks_ = 0;
   uint64_t fault_timeouts_ = 0;
 
-  hv::CpuAccounting cpu_;
   trace::RequestSpan request_span_;
   uint64_t installs_ = 0;
   uint64_t soft_reclaims_ = 0;

@@ -153,6 +153,7 @@ class GuestVm {
   // calls `install` (blocking) before first use of an evicted frame.
   void AttachAuxBridge(hv::AuxState* aux,
                        std::function<void(HugeId)> install);
+  hv::AuxState* aux_state() { return aux_; }  // null until attached
 
   std::vector<Zone>& zones() { return zones_; }
   Zone& ZoneOf(FrameId frame);

@@ -1,10 +1,10 @@
-// Tests for the generalized (buddy-backed) HyperAlloc monitor — paper §6
-// "Concept Generalization": soft reclamation and install work through the
-// auxiliary (A, E) interface; hard limits fall back to a guest-mediated
+// Tests for the HyperAlloc monitor on a buddy guest — paper §6 "Concept
+// Generalization": soft reclamation and install work through the
+// auxiliary (A, E) bridge; hard limits fall back to a guest-mediated
 // path.
 #include <gtest/gtest.h>
 
-#include "src/core/hyperalloc_generic.h"
+#include "src/core/hyperalloc.h"
 #include "src/guest/guest_vm.h"
 
 namespace hyperalloc::core {
@@ -23,9 +23,12 @@ class GenericHyperAllocTest : public ::testing::Test {
     config.dma32_bytes = 64 * kMiB;
     config.vfio = vfio;
     vm_ = std::make_unique<guest::GuestVm>(sim_.get(), host_.get(), config);
-    monitor_ = std::make_unique<GenericHyperAllocMonitor>(
-        vm_.get(), GenericHyperAllocConfig{});
+    ASSERT_EQ(config.allocator, guest::AllocatorKind::kBuddy);
+    monitor_ = std::make_unique<HyperAllocMonitor>(vm_.get(),
+                                                   HyperAllocConfig{});
   }
+
+  hv::AuxState& aux() { return *vm_->aux_state(); }
 
   void SetLimit(uint64_t bytes) {
     bool done = false;
@@ -38,7 +41,7 @@ class GenericHyperAllocTest : public ::testing::Test {
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<hv::HostMemory> host_;
   std::unique_ptr<guest::GuestVm> vm_;
-  std::unique_ptr<GenericHyperAllocMonitor> monitor_;
+  std::unique_ptr<HyperAllocMonitor> monitor_;
 };
 
 TEST_F(GenericHyperAllocTest, InstallOnFirstUse) {
@@ -48,8 +51,8 @@ TEST_F(GenericHyperAllocTest, InstallOnFirstUse) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(monitor_->installs(), 1u);
   EXPECT_EQ(vm_->rss_bytes(), kHugeSize);
-  EXPECT_TRUE(monitor_->aux().Allocated(FrameToHuge(*r)));
-  EXPECT_FALSE(monitor_->aux().Evicted(FrameToHuge(*r)));
+  EXPECT_TRUE(aux().Allocated(FrameToHuge(*r)));
+  EXPECT_FALSE(aux().Evicted(FrameToHuge(*r)));
 }
 
 TEST_F(GenericHyperAllocTest, AuxOccupancyTracksBuddy) {
@@ -57,7 +60,7 @@ TEST_F(GenericHyperAllocTest, AuxOccupancyTracksBuddy) {
   const Result<FrameId> a = vm_->Alloc(0, AllocType::kMovable);
   ASSERT_TRUE(a.ok());
   const HugeId huge = FrameToHuge(*a);
-  EXPECT_TRUE(monitor_->aux().Allocated(huge));
+  EXPECT_TRUE(aux().Allocated(huge));
   vm_->Free(*a, 0);
   vm_->PurgeAllocatorCaches();
   // PCP drain happens outside Free; occupancy clears once truly free.
@@ -70,9 +73,9 @@ TEST_F(GenericHyperAllocTest, AuxOccupancyTracksBuddy) {
   // Allocate + free a frame with PCP disabled effect via huge order:
   const Result<FrameId> c = vm_->Alloc(kHugeOrder, AllocType::kHuge);
   ASSERT_TRUE(c.ok());
-  EXPECT_TRUE(monitor_->aux().Allocated(FrameToHuge(*c)));
+  EXPECT_TRUE(aux().Allocated(FrameToHuge(*c)));
   vm_->Free(*c, kHugeOrder);
-  EXPECT_FALSE(monitor_->aux().Allocated(FrameToHuge(*c)));
+  EXPECT_FALSE(aux().Allocated(FrameToHuge(*c)));
 }
 
 TEST_F(GenericHyperAllocTest, AutoReclaimIsDmaSafeFreePageReporting) {
@@ -122,7 +125,7 @@ TEST_F(GenericHyperAllocTest, HardLimitGuestMediated) {
   // Returned frames install on reuse (DMA-safe deflation).
   const Result<FrameId> r = vm_->Alloc(kHugeOrder, AllocType::kHuge);
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(monitor_->aux().Allocated(FrameToHuge(*r)));
+  EXPECT_TRUE(aux().Allocated(FrameToHuge(*r)));
 }
 
 TEST_F(GenericHyperAllocTest, ShrinkOfUntouchedMemorySkipsUnmap) {
@@ -155,11 +158,11 @@ TEST_F(GenericHyperAllocTest, SoftReclaimBeatenByGuestAllocation) {
   Init();
   const Result<FrameId> r = vm_->Alloc(kHugeOrder, AllocType::kHuge);
   ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(monitor_->aux().TryReclaim(FrameToHuge(*r), false));
+  EXPECT_FALSE(aux().TryReclaim(FrameToHuge(*r)));
   vm_->Free(*r, kHugeOrder);
-  EXPECT_TRUE(monitor_->aux().TryReclaim(FrameToHuge(*r), false));
+  EXPECT_TRUE(aux().TryReclaim(FrameToHuge(*r)));
   // Second reclaim of the same frame fails (already evicted).
-  EXPECT_FALSE(monitor_->aux().TryReclaim(FrameToHuge(*r), false));
+  EXPECT_FALSE(aux().TryReclaim(FrameToHuge(*r)));
 }
 
 }  // namespace
