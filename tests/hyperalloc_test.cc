@@ -216,13 +216,24 @@ TEST_F(HyperAllocTest, AutoDaemonRunsPeriodically) {
 }
 
 TEST_F(HyperAllocTest, ScanCostMatchesPaperFormula) {
-  Init();
-  monitor_->AutoReclaimPass();
-  // §3.3: 18 cache lines per GiB => 256 MiB of guest memory costs
-  // 18 * 256/1024 = 4.5 lines, rounded up per zone.
-  const uint64_t lines = monitor_->scan_cache_lines_total();
-  EXPECT_GE(lines, 4u);
-  EXPECT_LE(lines, 8u);  // rounding per zone array
+  // §3.3: one pass reads the R array (2 bit/huge) and the shared index.
+  // With LLFree's 16-bit area entries that is 128 + 1024 bytes = 18
+  // consecutive cache lines per GiB; the aux bitmap (2 bit/huge) makes it
+  // 4. Zones of whole GiB keep per-zone rounding out of the count.
+  for (const auto [allocator, lines_per_gib] :
+       {std::pair{guest::AllocatorKind::kLLFree, 18u},
+        std::pair{guest::AllocatorKind::kBuddy, 4u}}) {
+    sim::Simulation sim;
+    hv::HostMemory host(FramesForBytes(kGiB));
+    guest::GuestConfig config;
+    config.memory_bytes = 3 * kGiB;
+    config.dma32_bytes = kGiB;
+    config.allocator = allocator;
+    guest::GuestVm vm(&sim, &host, config);
+    HyperAllocMonitor monitor(&vm, HyperAllocConfig{});
+    monitor.AutoReclaimPass();
+    EXPECT_EQ(monitor.scan_cache_lines_total(), 3 * lines_per_gib);
+  }
 }
 
 // ---------------------------------------------------------------------
