@@ -1,15 +1,16 @@
 // E1 — reproduces Fig. 4 (reclamation/return speed, §5.3) and Table 1
 // (candidate capability matrix).
 //
-// Procedure (per candidate, repeated `--reps` times on fresh VMs):
+// Procedure (per candidate, on a fresh VM):
 //   prepare:          write into 19 GiB of guest pages, then free them
 //   reclaim:          shrink the hard limit 20 GiB -> 2 GiB
 //   return:           grow 2 GiB -> 20 GiB (no access)
 //   reclaim untouched: shrink again (memory never re-accessed)
 //   return+install:   grow again, then allocate and write 18 GiB
 //
-// Rates are GiB/s of limit change in virtual time; error is the 95 %
-// confidence interval over the repetitions.
+// Rates are GiB/s of limit change in virtual time. The procedure has no
+// random input, so each candidate runs twice and the two runs must agree
+// bit for bit; one value per row is printed.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -17,7 +18,7 @@
 
 #include "bench/candidates.h"
 #include "bench/trace_io.h"
-#include "src/base/stats.h"
+#include "src/base/check.h"
 #include "src/base/units.h"
 #include "src/workloads/memory_pool.h"
 
@@ -30,10 +31,12 @@ constexpr uint64_t kPrepare = 19 * kGiB;
 constexpr uint64_t kDelta = kMemory - kSmall;
 
 struct Rates {
-  std::vector<double> reclaim;
-  std::vector<double> reclaim_untouched;
-  std::vector<double> ret;
-  std::vector<double> ret_install;
+  double reclaim = 0.0;
+  double reclaim_untouched = 0.0;
+  double ret = 0.0;
+  double ret_install = 0.0;
+
+  bool operator==(const Rates&) const = default;
 };
 
 double Gibps(uint64_t bytes, sim::Time ns) {
@@ -41,7 +44,8 @@ double Gibps(uint64_t bytes, sim::Time ns) {
          (static_cast<double>(ns) / 1e9);
 }
 
-void RunOnce(Candidate candidate, Rates* rates) {
+Rates RunOnce(Candidate candidate) {
+  Rates rates;
   Setup setup = MakeSetup(candidate);
   workloads::MemoryPool pool(setup.vm.get());
 
@@ -51,17 +55,18 @@ void RunOnce(Candidate candidate, Rates* rates) {
   pool.FreeRegion(prep, 0);
   setup.vm->PurgeAllocatorCaches();
 
-  rates->reclaim.push_back(Gibps(kDelta, setup.SetLimit(kSmall)));
-  rates->ret.push_back(Gibps(kDelta, setup.SetLimit(kMemory)));
-  rates->reclaim_untouched.push_back(Gibps(kDelta, setup.SetLimit(kSmall)));
+  rates.reclaim = Gibps(kDelta, setup.SetLimit(kSmall));
+  rates.ret = Gibps(kDelta, setup.SetLimit(kMemory));
+  rates.reclaim_untouched = Gibps(kDelta, setup.SetLimit(kSmall));
 
   // Return + install: grow and immediately allocate + write 18 GiB
   // (single-threaded guest kernel module in the paper).
   const sim::Time t0 = setup.sim->now();
   setup.SetLimit(kMemory);
   const uint64_t install = pool.AllocRegion(18 * kGiB, 0.95, 0);
-  rates->ret_install.push_back(Gibps(kDelta, setup.sim->now() - t0));
+  rates.ret_install = Gibps(kDelta, setup.sim->now() - t0);
   pool.FreeRegion(install, 0);
+  return rates;
 }
 
 void PrintMatrix() {
@@ -91,18 +96,10 @@ void PrintMatrix() {
               "paper)\n\n");
 }
 
-void PrintRow(const char* name, const std::vector<double>& rates) {
-  const Summary s = Summarize(rates);
-  std::printf("  %-22s %9.2f GiB/s  (+/- %.2f)\n", name, s.mean, s.ci95);
-}
-
 int Main(int argc, char** argv) {
-  int reps = 5;
   bool matrix_only = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      reps = std::atoi(argv[i] + 7);
-    } else if (std::strcmp(argv[i], "--matrix") == 0) {
+    if (std::strcmp(argv[i], "--matrix") == 0) {
       matrix_only = true;
     }
   }
@@ -113,15 +110,14 @@ int Main(int argc, char** argv) {
   }
 
   std::printf("Fig. 4: speed of reclaiming/returning memory "
-              "(20 GiB <-> 2 GiB, %d repetitions)\n\n", reps);
+              "(20 GiB <-> 2 GiB)\n\n");
 
   std::vector<std::pair<Candidate, Rates>> results;
   for (const Candidate candidate : DeflationCandidates(true)) {
-    Rates rates;
-    for (int rep = 0; rep < reps; ++rep) {
-      RunOnce(candidate, &rates);
-    }
-    results.emplace_back(candidate, std::move(rates));
+    const Rates rates = RunOnce(candidate);
+    // Deterministic: a second run must reproduce the first exactly.
+    HA_CHECK(RunOnce(candidate) == rates);
+    results.emplace_back(candidate, rates);
   }
 
   const char* const kSections[] = {"Reclaim", "Reclaim Untouched", "Return",
@@ -129,30 +125,19 @@ int Main(int argc, char** argv) {
   for (int section = 0; section < 4; ++section) {
     std::printf("%s:\n", kSections[section]);
     for (const auto& [candidate, rates] : results) {
-      const std::vector<double>* data = nullptr;
-      switch (section) {
-        case 0:
-          data = &rates.reclaim;
-          break;
-        case 1:
-          data = &rates.reclaim_untouched;
-          break;
-        case 2:
-          data = &rates.ret;
-          break;
-        default:
-          data = &rates.ret_install;
-          break;
-      }
-      PrintRow(Name(candidate), *data);
+      const double rate = section == 0   ? rates.reclaim
+                          : section == 1 ? rates.reclaim_untouched
+                          : section == 2 ? rates.ret
+                                         : rates.ret_install;
+      std::printf("  %-22s %9.2f GiB/s\n", Name(candidate), rate);
     }
     std::printf("\n");
   }
 
   // Headline ratios (paper: 362x vs virtio-balloon, 10x vs virtio-mem).
-  const double ha = Summarize(results[3].second.reclaim).mean;
-  const double balloon = Summarize(results[0].second.reclaim).mean;
-  const double vmem = Summarize(results[2].second.reclaim).mean;
+  const double ha = results[3].second.reclaim;
+  const double balloon = results[0].second.reclaim;
+  const double vmem = results[2].second.reclaim;
   std::printf("HyperAlloc reclaim speedup: %.0fx vs virtio-balloon, "
               "%.1fx vs virtio-mem\n",
               ha / balloon, ha / vmem);

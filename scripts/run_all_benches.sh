@@ -6,7 +6,7 @@ set -e
 cd "$(dirname "$0")/.."
 BUILD=${BUILD:-build}
 
-$BUILD/bench/bench_inflate --reps=3          # Fig. 4 + Table 1
+$BUILD/bench/bench_inflate                   # Fig. 4 + Table 1
 $BUILD/bench/bench_stream                    # Fig. 5 + Table 2 (STREAM)
 $BUILD/bench/bench_ftq                       # Fig. 6 + Table 2 (FTQ)
 $BUILD/bench/bench_compiling --runs=2        # Fig. 7 (add --extra for sweep)
