@@ -149,14 +149,15 @@ constexpr uint64_t kVmBytes = 256 * kMiB;
 class FaultRecoveryTest : public ::testing::Test {
  protected:
   void Init(const std::string& plan_spec, core::HyperAllocConfig config = {},
-            uint64_t seed = 42, bool vfio = false) {
+            uint64_t seed = 42, bool vfio = false,
+            guest::AllocatorKind allocator = guest::AllocatorKind::kLLFree) {
     sim_ = std::make_unique<sim::Simulation>();
     host_ = std::make_unique<hv::HostMemory>(FramesForBytes(kGiB));
     guest::GuestConfig gc;
     gc.memory_bytes = kVmBytes;
     gc.vcpus = 4;
     gc.dma32_bytes = 64 * kMiB;
-    gc.allocator = guest::AllocatorKind::kLLFree;
+    gc.allocator = allocator;
     gc.vfio = vfio;
     vm_ = std::make_unique<guest::GuestVm>(sim_.get(), host_.get(), gc);
     monitor_ = std::make_unique<core::HyperAllocMonitor>(vm_.get(), config);
@@ -198,6 +199,26 @@ class FaultRecoveryTest : public ::testing::Test {
       EXPECT_TRUE(sim_->Step());
     }
     return outcome;
+  }
+
+  // Conservation oracles: the host pool backs exactly what the EPT maps,
+  // and every guest frame is free, held by the monitor (hard-reclaimed or
+  // quarantined) or one of the `allocated` frames the test holds.
+  void ExpectConserved(uint64_t allocated = 0) {
+    EXPECT_EQ(host_->used_frames() * kFrameSize, vm_->rss_bytes());
+    EXPECT_EQ(host_->DebugFreeCredits() + host_->used_frames(),
+              host_->total_frames());
+    EXPECT_EQ(vm_->FreeFrames() + allocated +
+                  (kVmBytes - monitor_->limit_bytes()) / kFrameSize,
+              vm_->total_frames());
+  }
+
+  uint64_t CountState(core::ReclaimState state) const {
+    uint64_t count = 0;
+    for (HugeId h = 0; h < HugesForFrames(vm_->total_frames()); ++h) {
+      count += monitor_->StateOf(h) == state ? 1 : 0;
+    }
+    return count;
   }
 
   std::unique_ptr<sim::Simulation> sim_;
@@ -317,6 +338,102 @@ TEST_F(FaultRecoveryTest, InjectionDisabledIsByteIdenticalToNoInjector) {
   SetLimit(kVmBytes / 2);
   EXPECT_EQ(sim_->now(), without);
   EXPECT_EQ(monitor_->faults_seen(), 0u);
+}
+
+// --- The same recovery on a buddy guest (aux (A, E) bridge) -----------
+
+constexpr uint64_t kVmHuge = kVmBytes / kHugeSize;
+
+TEST_F(FaultRecoveryTest, BuddyTransientUnmapFaultRollsBackThroughGuest) {
+  core::HyperAllocConfig config;
+  config.hugepages_per_slice = 1;  // observe the first slice on its own
+  // Every attempt on the first unmap fails transiently.
+  Init("ept_unmap@0@1@2@3", config, 42, false, guest::AllocatorKind::kBuddy);
+  PopulateAndFree(kVmHuge);  // every frame is host-backed
+  const uint64_t guest_free = vm_->FreeFrames();
+  bool done = false;
+  monitor_->Request(
+      {.target_bytes = 0, .done = [&] { done = true; }, .on_outcome = {}});
+  // The first slice took one frame out of the guest, failed to unmap it
+  // and handed it back through the guest's free path: R=S, no frame held.
+  EXPECT_EQ(monitor_->fault_rollbacks(), 1u);
+  EXPECT_EQ(monitor_->fault_retries(), 3u);
+  EXPECT_EQ(monitor_->limit_bytes(), kVmBytes);
+  EXPECT_EQ(vm_->FreeFrames(), guest_free);
+  EXPECT_EQ(CountState(core::ReclaimState::kSoft), 1u);
+  ExpectConserved();
+  while (!done) {
+    ASSERT_TRUE(sim_->Step());
+  }
+  EXPECT_TRUE(monitor_->last_outcome().complete);
+  EXPECT_EQ(monitor_->limit_bytes(), 0u);
+  EXPECT_EQ(vm_->rss_bytes(), 0u);
+  ExpectConserved();
+  EXPECT_TRUE(SetLimit(kVmBytes).complete);
+  ExpectConserved();
+}
+
+TEST_F(FaultRecoveryTest, BuddyPermanentUnmapFaultQuarantinesForGood) {
+  Init("ept_unmap@0!", {}, 42, false, guest::AllocatorKind::kBuddy);
+  PopulateAndFree(kVmHuge);
+  EXPECT_TRUE(SetLimit(kVmBytes / 2).complete);
+  ASSERT_EQ(monitor_->quarantined_huge(), 1u);
+  ASSERT_EQ(CountState(core::ReclaimState::kQuarantined), 1u);
+  ExpectConserved();
+  // Growing back returns every hard-reclaimed frame but not the poisoned
+  // one, which stays mapped and host-backed.
+  const hv::ResizeOutcome grow = SetLimit(kVmBytes);
+  EXPECT_FALSE(grow.complete);
+  EXPECT_EQ(monitor_->limit_bytes(), kVmBytes - kHugeSize);
+  ExpectConserved();
+  // The guest can allocate everything else, but never the poisoned frame.
+  uint64_t allocated = 0;
+  for (Result<FrameId> r = vm_->Alloc(kHugeOrder, AllocType::kHuge); r.ok();
+       r = vm_->Alloc(kHugeOrder, AllocType::kHuge)) {
+    EXPECT_NE(monitor_->StateOf(FrameToHuge(*r)),
+              core::ReclaimState::kQuarantined);
+    allocated += kFramesPerHuge;
+  }
+  EXPECT_EQ(allocated, (kVmHuge - 1) * kFramesPerHuge);
+  ExpectConserved(allocated);
+}
+
+TEST_F(FaultRecoveryTest, BuddyPermanentFaultOnSoftReclaimClaimsTheFrame) {
+  Init("ept_unmap@0!", {}, 42, false, guest::AllocatorKind::kBuddy);
+  PopulateAndFree(4);
+  // The auto pass soft-reclaims the four free frames; the first unmap
+  // fails permanently, so that frame is claimed out of the buddy lists.
+  EXPECT_EQ(monitor_->AutoReclaimPass(), 3u);
+  ASSERT_EQ(monitor_->quarantined_huge(), 1u);
+  EXPECT_EQ(monitor_->limit_bytes(), kVmBytes - kHugeSize);
+  ExpectConserved();
+  uint64_t allocated = 0;
+  for (Result<FrameId> r = vm_->Alloc(kHugeOrder, AllocType::kHuge); r.ok();
+       r = vm_->Alloc(kHugeOrder, AllocType::kHuge)) {
+    EXPECT_NE(monitor_->StateOf(FrameToHuge(*r)),
+              core::ReclaimState::kQuarantined);
+    allocated += kFramesPerHuge;
+  }
+  EXPECT_EQ(allocated, (kVmHuge - 1) * kFramesPerHuge);
+  ExpectConserved(allocated);
+}
+
+TEST_F(FaultRecoveryTest, BuddyInstallFaultsRetryThenQuarantineVm) {
+  // Every attempt of the first install hypercall fails transiently.
+  Init("install@0@1@2@3", {}, 42, false, guest::AllocatorKind::kBuddy);
+  const Result<FrameId> r = vm_->Alloc(0, AllocType::kMovable);
+  // The allocation is handed over anyway, but the install's DMA-safety
+  // guarantee no longer holds: retries exhausted, the VM is poisoned.
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(monitor_->faults_seen(), 4u);
+  EXPECT_EQ(monitor_->fault_retries(), 3u);
+  EXPECT_TRUE(monitor_->vm_quarantined());
+  EXPECT_EQ(monitor_->installs(), 1u);
+  ExpectConserved(1);
+  const hv::ResizeOutcome outcome = SetLimit(kVmBytes / 2);
+  EXPECT_TRUE(outcome.quarantined);
+  EXPECT_EQ(monitor_->limit_bytes(), kVmBytes);
+  ExpectConserved(1);
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/hyperalloc.h"
+#include "src/guest/guest_vm.h"
 #include "src/hv/cost_model.h"
 #include "src/sim/simulation.h"
 #include "src/trace/export.h"
@@ -140,6 +142,69 @@ TEST_F(SpanTest, ChargeAttributionAndClosure) {
     charged += span.charge_ns;
   }
   EXPECT_EQ(charged, request->virtual_ns());
+}
+
+TEST_F(SpanTest, BuddyMonitorRequestChargesClose) {
+  // The HyperAlloc monitor on a buddy guest charges its guest-mediated
+  // hard reclaim, hypercall, unmap and guest-side return inside spans, so
+  // each request's charges sum to its root's virtual duration.
+  sim::Simulation sim;
+  hv::HostMemory host(FramesForBytes(kGiB));
+  guest::GuestConfig config;
+  config.memory_bytes = 256 * kMiB;
+  config.dma32_bytes = 64 * kMiB;
+  config.vfio = true;
+  ASSERT_EQ(config.allocator, guest::AllocatorKind::kBuddy);
+  guest::GuestVm vm(&sim, &host, config);
+  core::HyperAllocMonitor monitor(&vm, core::HyperAllocConfig{});
+  SpanContext context;
+  context.clock = &sim;
+  ScopedContext scoped(context);
+  std::vector<FrameId> frames;
+  for (int i = 0; i < 32; ++i) {
+    const Result<FrameId> r = vm.Alloc(kHugeOrder, AllocType::kHuge);
+    ASSERT_TRUE(r.ok());
+    vm.Touch(*r, kFramesPerHuge);
+    frames.push_back(*r);
+  }
+  for (const FrameId f : frames) {
+    vm.Free(f, kHugeOrder);
+  }
+  SpanTracer::Global().Drain();  // drop the install roots
+
+  for (const uint64_t target : {64 * kMiB, 256 * kMiB}) {
+    bool done = false;
+    monitor.Request({.target_bytes = target,
+                     .done = [&] { done = true; },
+                     .on_outcome = {}});
+    while (!done) {
+      ASSERT_TRUE(sim.Step());
+    }
+    ASSERT_EQ(monitor.limit_bytes(), target);
+  }
+  const std::vector<SpanRecord> spans = SpanTracer::Global().Drain();
+  const SpanRecord* reclaim = Find(spans, "guest.reclaim_huge");
+  const SpanRecord* ret = Find(spans, "guest.return_huge");
+  ASSERT_NE(reclaim, nullptr);
+  ASSERT_NE(ret, nullptr);
+  EXPECT_EQ(reclaim->layer, Layer::kGuest);
+  EXPECT_GT(reclaim->charge_ns, 0u);
+  EXPECT_GT(ret->charge_ns, 0u);
+  unsigned roots = 0;
+  for (const SpanRecord& root : spans) {
+    if (root.parent_id != 0) {
+      continue;
+    }
+    ASSERT_EQ(root.layer, Layer::kRequest);
+    ++roots;
+    uint64_t charged = 0;
+    for (const SpanRecord& span : spans) {
+      charged += span.trace_id == root.trace_id ? span.charge_ns : 0;
+    }
+    EXPECT_GT(root.virtual_ns(), 0u);
+    EXPECT_EQ(charged, root.virtual_ns()) << root.name;
+  }
+  EXPECT_EQ(roots, 2u);
 }
 
 TEST_F(SpanTest, RequestSpanPropagatesAcrossThreads) {
