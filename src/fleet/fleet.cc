@@ -381,19 +381,14 @@ void FleetEngine::ControlStep(sim::Time barrier, FleetResult* result) {
       ResizeRecord& r = state->records[slot];
       const hv::ResizeOutcome& o = state->parts.deflator->last_outcome();
       r.completed = state->sim->now();
-      // A backend without outcome machinery (the generic monitor) leaves
-      // last_outcome() stale; fall back to the observable limit.
-      if (o.target_bytes == r.target_bytes) {
-        r.achieved_bytes = o.achieved_bytes;
-        r.complete = o.complete;
-        r.timed_out = o.timed_out;
-        r.faults = o.faults;
-        r.retries = o.retries;
-        r.rollbacks = o.rollbacks;
-      } else {
-        r.achieved_bytes = state->parts.deflator->limit_bytes();
-        r.complete = r.achieved_bytes == r.target_bytes;
-      }
+      // Every backend reports the outcome of the request it just finished.
+      HA_CHECK(o.target_bytes == r.target_bytes);
+      r.achieved_bytes = o.achieved_bytes;
+      r.complete = o.complete;
+      r.timed_out = o.timed_out;
+      r.faults = o.faults;
+      r.retries = o.retries;
+      r.rollbacks = o.rollbacks;
       state->inflight_target = 0;
       state->digest.Mix(r.issued);
       state->digest.Mix(r.completed);

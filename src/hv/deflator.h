@@ -70,7 +70,7 @@ struct ResizeRequest {
   // "use the backend's RetryPolicy request_timeout_ns default" — the
   // fleet policy layer attaches explicit deadlines here so one slow VM
   // cannot stall a control epoch indefinitely. Backends without timeout
-  // machinery (the generic buddy monitor) ignore it.
+  // machinery ignore it.
   uint64_t deadline_ns = 0;
   // Fires in virtual time when the operation has gone as far as it can
   // (possibly partially — check limit_bytes()). May be empty.
