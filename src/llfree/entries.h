@@ -122,6 +122,48 @@ struct Reservation {
   bool operator==(const Reservation&) const = default;
 };
 
+// The dry-zone memo (DESIGN.md §4.1): what the last fallback probe
+// learned about the whole allocator. dry(need) promises that no tree or
+// reservation counter holds `need` frames, so an allocation of at least
+// `need` frames may fail without scanning the tree index. The
+// generation changes on every probe announcement, so a probe that was
+// cleared and then overtaken by another probe of the same size cannot
+// complete the newer one.
+//   bits 0–1   state: idle, probing(need) or dry(need)
+//   bits 2–11  need (frames, 1..512)
+//   bits 12–31 probe generation (wraps)
+struct DryMemo {
+  enum class Kind : uint32_t { kIdle = 0, kProbing = 1, kDry = 2 };
+
+  Kind kind = Kind::kIdle;
+  uint32_t need = 0;
+  uint32_t gen = 0;
+
+  static constexpr uint32_t kNeedShift = 2;
+  static constexpr uint32_t kNeedMask = 0x3ff;
+  static constexpr uint32_t kGenShift = 12;
+  static constexpr uint32_t kGenMask = 0xfffff;
+
+  static DryMemo Unpack(uint32_t raw) {
+    DryMemo m;
+    m.kind = static_cast<Kind>(raw & 0x3);
+    m.need = (raw >> kNeedShift) & kNeedMask;
+    m.gen = (raw >> kGenShift) & kGenMask;
+    return m;
+  }
+
+  uint32_t Pack() const {
+    HA_DCHECK(need <= kNeedMask);
+    return static_cast<uint32_t>(kind) | (need << kNeedShift) |
+           ((gen & kGenMask) << kGenShift);
+  }
+
+  // True when an allocation of `n` frames is known to fail.
+  bool Covers(unsigned n) const { return kind == Kind::kDry && n >= need; }
+
+  bool operator==(const DryMemo&) const = default;
+};
+
 // Lock-free read-modify-write: repeatedly applies `f` to the current
 // value; `f` returns std::nullopt to abort (value no longer eligible).
 // Returns the value that was successfully replaced, or nullopt.

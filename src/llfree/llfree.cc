@@ -56,6 +56,7 @@ SharedState::SharedState(uint64_t frames, const Config& config)
     // Spread initial search positions so slots start in different trees.
     tree_hints_[s].store((num_trees_ * s) / slots, std::memory_order_relaxed);
   }
+  dry_memo_.store(DryMemo{}.Pack(), std::memory_order_relaxed);
 }
 
 uint64_t SharedState::SharedBytes() const {
@@ -92,7 +93,9 @@ uint64_t LLFree::TreeCapacity(uint64_t tree) const {
 // ----------------------------------------------------------------------
 
 std::optional<uint64_t> LLFree::TakeFromReservation(unsigned slot,
-                                                    unsigned need) {
+                                                    unsigned order,
+                                                    unsigned max_runs,
+                                                    unsigned* taken_runs) {
   Atomic<uint64_t>& slot_atom = state_->reservations_[slot];
   for (;;) {
     uint64_t raw = slot_atom.load(std::memory_order_acquire);
@@ -100,13 +103,17 @@ std::optional<uint64_t> LLFree::TakeFromReservation(unsigned slot,
     if (!r.active) {
       return std::nullopt;
     }
-    if (r.free >= need) {
+    // A shift, not a division: single Gets take this path too.
+    const unsigned avail_runs = r.free >> order;
+    if (avail_runs > 0) {
+      const unsigned take = std::min(avail_runs, max_runs);
       Reservation next = r;
-      next.free = static_cast<uint16_t>(r.free - need);
+      next.free = static_cast<uint16_t>(r.free - (take << order));
       uint64_t expected = raw;
       if (slot_atom.compare_exchange_weak(expected, next.Pack(),
                                           std::memory_order_acq_rel,
                                           std::memory_order_acquire)) {
+        *taken_runs = take;
         return r.tree;
       }
       continue;  // raced; retry
@@ -133,74 +140,14 @@ std::optional<uint64_t> LLFree::TakeFromReservation(unsigned slot,
     Reservation next = r;
     next.free = static_cast<uint16_t>(r.free + stolen);
     uint64_t expected = raw;
-    if (!slot_atom.compare_exchange_strong(expected, next.Pack(),
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
+    if (slot_atom.compare_exchange_strong(expected, next.Pack(),
+                                          std::memory_order_seq_cst,
+                                          std::memory_order_acquire)) {
+      ClearDryMemo();  // the reservation counter grew
+    } else {
       // Reservation changed under us: return the stolen frames to the
       // tree's global counter and start over.
-      AtomicUpdate(state_->trees_[r.tree],
-                   [&](uint32_t tree_raw) -> std::optional<uint32_t> {
-                     TreeEntry entry = TreeEntry::Unpack(tree_raw);
-                     entry.free += stolen;
-                     return entry.Pack();
-                   });
-    }
-  }
-}
-
-std::optional<uint64_t> LLFree::TakeUpToFromReservation(unsigned slot,
-                                                        unsigned run,
-                                                        unsigned max_runs,
-                                                        unsigned* taken_runs) {
-  Atomic<uint64_t>& slot_atom = state_->reservations_[slot];
-  for (;;) {
-    uint64_t raw = slot_atom.load(std::memory_order_acquire);
-    const Reservation r = Reservation::Unpack(raw);
-    if (!r.active) {
-      return std::nullopt;
-    }
-    const unsigned avail_runs = r.free / run;
-    if (avail_runs > 0) {
-      const unsigned take = std::min(avail_runs, max_runs);
-      Reservation next = r;
-      next.free = static_cast<uint16_t>(r.free - take * run);
-      uint64_t expected = raw;
-      if (slot_atom.compare_exchange_weak(expected, next.Pack(),
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-        *taken_runs = take;
-        return r.tree;
-      }
-      continue;  // raced; retry
-    }
-    // Local counter dry: re-steal whatever the reserved tree accumulated
-    // from frees since we reserved it (same resync as the single path).
-    const std::optional<uint32_t> before = AtomicUpdate(
-        state_->trees_[r.tree],
-        [](uint32_t tree_raw) -> std::optional<uint32_t> {
-          TreeEntry entry = TreeEntry::Unpack(tree_raw);
-          if (entry.free == 0) {
-            return std::nullopt;
-          }
-          entry.free = 0;
-          return entry.Pack();
-        });
-    if (!before.has_value()) {
-      return std::nullopt;  // genuinely dry; caller reserves a new tree
-    }
-    const uint32_t stolen = TreeEntry::Unpack(*before).free;
-    Reservation next = r;
-    next.free = static_cast<uint16_t>(r.free + stolen);
-    uint64_t expected = raw;
-    if (!slot_atom.compare_exchange_strong(expected, next.Pack(),
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-      AtomicUpdate(state_->trees_[r.tree],
-                   [&](uint32_t tree_raw) -> std::optional<uint32_t> {
-                     TreeEntry entry = TreeEntry::Unpack(tree_raw);
-                     entry.free += stolen;
-                     return entry.Pack();
-                   });
+      CreditTree(r.tree, stolen);
     }
   }
 }
@@ -215,19 +162,15 @@ void LLFree::GiveBack(unsigned slot, uint64_t tree, unsigned need) {
       next.free = static_cast<uint16_t>(r.free + need);
       uint64_t expected = raw;
       if (slot_atom.compare_exchange_weak(expected, next.Pack(),
-                                          std::memory_order_acq_rel,
+                                          std::memory_order_seq_cst,
                                           std::memory_order_acquire)) {
+        ClearDryMemo();
         return;
       }
       continue;
     }
     // Reservation moved on; credit the tree directly.
-    AtomicUpdate(state_->trees_[tree],
-                 [&](uint32_t tree_raw) -> std::optional<uint32_t> {
-                   TreeEntry entry = TreeEntry::Unpack(tree_raw);
-                   entry.free += need;
-                   return entry.Pack();
-                 });
+    CreditTree(tree, need);
     return;
   }
 }
@@ -318,18 +261,17 @@ bool LLFree::ReserveNewTree(unsigned slot, AllocType type, unsigned need,
     next.free = static_cast<uint16_t>(taken);
     uint64_t old_raw = slot_atom.load(std::memory_order_acquire);
     while (!slot_atom.compare_exchange_weak(old_raw, next.Pack(),
-                                            std::memory_order_acq_rel,
+                                            std::memory_order_seq_cst,
                                             std::memory_order_acquire)) {
     }
+    // The claimed frames were in neither counter between the two CASes,
+    // so a probe may have missed them: the publish clears the memo like
+    // any other counter increment.
     const Reservation old = Reservation::Unpack(old_raw);
     if (old.active) {
-      AtomicUpdate(state_->trees_[old.tree],
-                   [&](uint32_t tree_raw) -> std::optional<uint32_t> {
-                     TreeEntry e = TreeEntry::Unpack(tree_raw);
-                     e.free += old.free;
-                     e.reserved = false;
-                     return e.Pack();
-                   });
+      CreditTree(old.tree, old.free, /*unreserve=*/true);
+    } else {
+      ClearDryMemo();
     }
     // Hints are always stored in-range so a view over a shrunk tree
     // index can never publish an out-of-bounds search start (the load
@@ -355,13 +297,7 @@ void LLFree::DrainReservations() {
       if (slot_atom.compare_exchange_weak(raw, Reservation{}.Pack(),
                                           std::memory_order_acq_rel,
                                           std::memory_order_acquire)) {
-        AtomicUpdate(state_->trees_[r.tree],
-                     [&](uint32_t tree_raw) -> std::optional<uint32_t> {
-                       TreeEntry e = TreeEntry::Unpack(tree_raw);
-                       e.free += r.free;
-                       e.reserved = false;
-                       return e.Pack();
-                     });
+        CreditTree(r.tree, r.free, /*unreserve=*/true);
         break;
       }
     }
@@ -385,8 +321,14 @@ Result<FrameId> LLFree::Get(unsigned core, unsigned order, AllocType type) {
 
   std::optional<uint64_t> avoid;
   for (unsigned attempt = 0; attempt < kMaxReserveAttempts; ++attempt) {
-    std::optional<uint64_t> tree = TakeFromReservation(slot, need);
+    unsigned taken_runs = 0;
+    std::optional<uint64_t> tree =
+        TakeFromReservation(slot, order, 1, &taken_runs);
     if (!tree.has_value()) {
+      if (KnownDry(need)) {
+        HA_COUNT("llfree.get_fail");
+        return AllocError::kNoMemory;
+      }
       if (!ReserveNewTree(slot, effective_type, need, avoid)) {
         return GetFallback(order, huge);
       }
@@ -438,16 +380,18 @@ unsigned LLFree::GetBatch(unsigned core, unsigned order, unsigned count,
   const unsigned run = 1u << order;
   const unsigned slot = SlotFor(core, type);
   unsigned claimed = 0;
-  bool dry = false;  // no tree could be reserved
+  bool dry = false;        // no tree could be reserved
+  bool known_dry = false;  // the dry memo says the tail would fail too
   std::optional<uint64_t> avoid;
   for (unsigned attempt = 0;
        attempt < kMaxReserveAttempts && claimed < count && !dry;
        ++attempt) {
     unsigned taken_runs = 0;
     const std::optional<uint64_t> tree =
-        TakeUpToFromReservation(slot, run, count - claimed, &taken_runs);
+        TakeFromReservation(slot, order, count - claimed, &taken_runs);
     if (!tree.has_value()) {
-      dry = !ReserveNewTree(slot, type, run, avoid);
+      known_dry = KnownDry(run);
+      dry = known_dry || !ReserveNewTree(slot, type, run, avoid);
       continue;
     }
     const unsigned got = SearchTreeBatch(*tree, order, taken_runs, out);
@@ -471,9 +415,9 @@ unsigned LLFree::GetBatch(unsigned core, unsigned order, unsigned count,
   // Tail under pressure: one run per transaction, so the batch keeps the
   // exact semantics (fallback steal included) of `count` single calls.
   // Once the reservation scan has failed, a single Get would repeat it
-  // and fail again, so a dry tail goes straight to the fallback
-  // (DESIGN.md §4.10).
-  while (claimed < count) {
+  // and fail again, so a dry tail goes straight to the fallback, and a
+  // known-dry one is skipped (DESIGN.md §4.10).
+  while (claimed < count && !known_dry) {
     const Result<FrameId> r =
         dry ? GetFallback(order, false) : Get(core, order, type);
     if (!r.ok()) {
@@ -497,16 +441,19 @@ unsigned LLFree::GetBatchHuge(unsigned core, unsigned count, AllocType type,
                                                          : type;
   const unsigned slot = SlotFor(core, effective_type);
   unsigned claimed = 0;
-  bool dry = false;  // no tree could be reserved
+  bool dry = false;        // no tree could be reserved
+  bool known_dry = false;  // the dry memo says the tail would fail too
   std::optional<uint64_t> avoid;
   for (unsigned attempt = 0;
        attempt < kMaxReserveAttempts && claimed < count && !dry;
        ++attempt) {
     unsigned taken_runs = 0;
-    const std::optional<uint64_t> tree = TakeUpToFromReservation(
-        slot, kFramesPerHuge, count - claimed, &taken_runs);
+    const std::optional<uint64_t> tree = TakeFromReservation(
+        slot, kHugeOrder, count - claimed, &taken_runs);
     if (!tree.has_value()) {
-      dry = !ReserveNewTree(slot, effective_type, kFramesPerHuge, avoid);
+      known_dry = KnownDry(kFramesPerHuge);
+      dry = known_dry ||
+            !ReserveNewTree(slot, effective_type, kFramesPerHuge, avoid);
       continue;
     }
     const unsigned got = SearchTreeHugeBatch(*tree, taken_runs, out);
@@ -529,7 +476,7 @@ unsigned LLFree::GetBatchHuge(unsigned core, unsigned count, AllocType type,
   }
   // Tail under pressure: single transactions, straight to the fallback
   // once the reservation scan has failed (as in GetBatch).
-  while (claimed < count) {
+  while (claimed < count && !known_dry) {
     const Result<FrameId> r = dry ? GetFallback(kHugeOrder, true)
                                   : Get(core, kHugeOrder, type);
     if (!r.ok()) {
@@ -549,13 +496,18 @@ Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
   HA_COUNT("llfree.fallback_steal");
   HA_COUNT("llfree.tree_scan");
   const unsigned need = 1u << order;
+  const std::optional<uint32_t> probe = AnnounceProbe(need);
+  // Whether any counter held `need` frames. The loads are seq_cst: they
+  // pair with the credits' memo clears (DESIGN.md §4.1).
+  bool seen = false;
   for (uint64_t t = 0; t < num_trees(); ++t) {
     // Most trees are dry under pressure: a plain read skips them without
     // entering the CAS transaction.
-    if (TreeEntry::Unpack(state_->trees_[t].load(std::memory_order_acquire))
+    if (TreeEntry::Unpack(state_->trees_[t].load(std::memory_order_seq_cst))
             .free < need) {
       continue;
     }
+    seen = true;
     const auto stolen = AtomicUpdate(
         state_->trees_[t], [&](uint32_t raw) -> std::optional<uint32_t> {
           TreeEntry entry = TreeEntry::Unpack(raw);
@@ -571,23 +523,25 @@ Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
     const std::optional<FrameId> frame =
         huge ? SearchTreeHuge(t) : SearchTree(t, order);
     if (frame.has_value()) {
+      EndProbe(probe, /*dry=*/false);
       HA_COUNT("llfree.get");
       HA_HIST("llfree.get_order", order);
       HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kSteal, *frame,
                      order);
       return *frame;
     }
-    AtomicUpdate(state_->trees_[t],
-                 [&](uint32_t raw) -> std::optional<uint32_t> {
-                   TreeEntry entry = TreeEntry::Unpack(raw);
-                   entry.free += need;
-                   return entry.Pack();
-                 });
+    CreditTree(t, need);
   }
   // The remaining frames may live in other slots' local reservation
   // counters; pull from those directly (the reservations are part of the
   // shared state, so this stays a lock-free CAS transaction).
   for (unsigned s = 0; s < config().NumSlots(); ++s) {
+    const Reservation parked = Reservation::Unpack(
+        state_->reservations_[s].load(std::memory_order_seq_cst));
+    if (!parked.active || parked.free < need) {
+      continue;
+    }
+    seen = true;
     uint64_t victim_tree = 0;
     const auto taken = AtomicUpdate(
         state_->reservations_[s], [&](uint64_t raw) -> std::optional<uint64_t> {
@@ -605,6 +559,7 @@ Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
     const std::optional<FrameId> frame =
         huge ? SearchTreeHuge(victim_tree) : SearchTree(victim_tree, order);
     if (frame.has_value()) {
+      EndProbe(probe, /*dry=*/false);
       HA_COUNT("llfree.get");
       HA_HIST("llfree.get_order", order);
       HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kSteal, *frame,
@@ -613,8 +568,86 @@ Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
     }
     GiveBack(s, victim_tree, need);
   }
+  // A counter that held `need` frames without an aligned run is
+  // fragmentation, not dryness: only a probe that saw none records dry.
+  EndProbe(probe, /*dry=*/!seen);
   HA_COUNT("llfree.get_fail");
   return AllocError::kNoMemory;
+}
+
+bool LLFree::KnownDry(unsigned need) const {
+  if (!ReadDryMemo().Covers(need)) {
+    return false;
+  }
+  HA_COUNT("llfree.dry_skip");
+  return true;
+}
+
+std::optional<uint32_t> LLFree::AnnounceProbe(unsigned need) {
+  Atomic<uint32_t>& memo = state_->dry_memo_;
+  uint32_t raw = memo.load(std::memory_order_seq_cst);
+  for (;;) {
+    const DryMemo current = DryMemo::Unpack(raw);
+    // A probe in flight owns the memo; a dry memo that already covers
+    // `need` is left standing.
+    if (current.kind == DryMemo::Kind::kProbing || current.Covers(need)) {
+      return std::nullopt;
+    }
+    const uint32_t probing =
+        DryMemo{DryMemo::Kind::kProbing, need, current.gen + 1}.Pack();
+    if (memo.compare_exchange_weak(raw, probing, std::memory_order_seq_cst,
+                                   std::memory_order_seq_cst)) {
+      return probing;
+    }
+  }
+}
+
+void LLFree::EndProbe(std::optional<uint32_t> probe, bool dry) {
+  if (!probe.has_value()) {
+    return;
+  }
+  DryMemo next = DryMemo::Unpack(*probe);
+  next.kind = dry ? DryMemo::Kind::kDry : DryMemo::Kind::kIdle;
+  // Fails when a credit cleared the probe: the memo then stays as the
+  // credit left it.
+  uint32_t expected = *probe;
+  (void)state_->dry_memo_.compare_exchange_strong(expected, next.Pack(),
+                                                  std::memory_order_seq_cst,
+                                                  std::memory_order_seq_cst);
+}
+
+void LLFree::CreditTree(uint64_t tree, unsigned n, bool unreserve) {
+  // seq_cst: the credit is the store side of the memo's store→load
+  // pairing with GetFallback (DESIGN.md §4.1), so no AtomicUpdate here.
+  uint32_t raw = state_->trees_[tree].load(std::memory_order_relaxed);
+  for (;;) {
+    TreeEntry entry = TreeEntry::Unpack(raw);
+    entry.free += n;
+    entry.reserved = entry.reserved && !unreserve;
+    if (state_->trees_[tree].compare_exchange_weak(
+            raw, entry.Pack(), std::memory_order_seq_cst,
+            std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  ClearDryMemo();
+}
+
+void LLFree::ClearDryMemo() {
+  Atomic<uint32_t>& memo = state_->dry_memo_;
+  uint32_t raw = memo.load(std::memory_order_seq_cst);
+  for (;;) {
+    DryMemo current = DryMemo::Unpack(raw);
+    if (current.kind == DryMemo::Kind::kIdle) {
+      return;
+    }
+    current.kind = DryMemo::Kind::kIdle;
+    if (memo.compare_exchange_weak(raw, current.Pack(),
+                                   std::memory_order_seq_cst,
+                                   std::memory_order_seq_cst)) {
+      return;
+    }
+  }
 }
 
 std::optional<FrameId> LLFree::SearchTree(uint64_t tree, unsigned order) {
@@ -867,12 +900,7 @@ std::optional<AllocError> LLFree::Put(FrameId frame, unsigned order) {
                  });
   }
 
-  AtomicUpdate(state_->trees_[TreeOf(area)],
-               [&](uint32_t raw) -> std::optional<uint32_t> {
-                 TreeEntry entry = TreeEntry::Unpack(raw);
-                 entry.free += need;
-                 return entry.Pack();
-               });
+  CreditTree(TreeOf(area), need);
   HA_COUNT("llfree.put");
   HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kPut, frame, order);
   return std::nullopt;
@@ -935,12 +963,7 @@ unsigned LLFree::PutBatch(std::span<const FrameId> frames, unsigned order) {
                                                         group_runs * run);
                      return entry.Pack();
                    });
-      AtomicUpdate(state_->trees_[TreeOf(area)],
-                   [&](uint32_t raw) -> std::optional<uint32_t> {
-                     TreeEntry entry = TreeEntry::Unpack(raw);
-                     entry.free += group_runs * run;
-                     return entry.Pack();
-                   });
+      CreditTree(TreeOf(area), group_runs * run);
       freed_total += group_runs;
       freed_batched += group_runs;
     } else {
@@ -1036,12 +1059,7 @@ unsigned LLFree::ClaimFreeInArea(HugeId area, std::vector<FrameId>* out) {
       got = 0;
     }
     if (got < take) {
-      AtomicUpdate(state_->trees_[tree],
-                   [&](uint32_t raw) -> std::optional<uint32_t> {
-                     TreeEntry te = TreeEntry::Unpack(raw);
-                     te.free += take - got;
-                     return te.Pack();
-                   });
+      CreditTree(tree, take - got);
       if (got == 0) {
         break;
       }
@@ -1060,12 +1078,7 @@ unsigned LLFree::ClaimFreeInArea(HugeId area, std::vector<FrameId>* out) {
                                                         (got - set));
                      return entry.Pack();
                    });
-      AtomicUpdate(state_->trees_[tree],
-                   [&](uint32_t raw) -> std::optional<uint32_t> {
-                     TreeEntry te = TreeEntry::Unpack(raw);
-                     te.free += got - set;
-                     return te.Pack();
-                   });
+      CreditTree(tree, got - set);
     }
     for (unsigned i = 0; i < set; ++i) {
       out->push_back(HugeToFrame(area) + offsets[i]);
@@ -1196,12 +1209,7 @@ bool LLFree::TryHardReclaim(HugeId huge, bool allow_reserved) {
     return true;
   }
   // Lost the race for this area (guest allocated it); undo the steal.
-  AtomicUpdate(state_->trees_[tree],
-               [&](uint32_t raw) -> std::optional<uint32_t> {
-                 TreeEntry te = TreeEntry::Unpack(raw);
-                 te.free += kFramesPerHuge;
-                 return te.Pack();
-               });
+  CreditTree(tree, kFramesPerHuge);
   return false;
 }
 
@@ -1225,12 +1233,7 @@ bool LLFree::MarkReturned(HugeId huge) {
   if (!transitioned) {
     return false;
   }
-  AtomicUpdate(state_->trees_[TreeOf(huge)],
-               [&](uint32_t raw) -> std::optional<uint32_t> {
-                 TreeEntry entry = TreeEntry::Unpack(raw);
-                 entry.free += kFramesPerHuge;
-                 return entry.Pack();
-               });
+  CreditTree(TreeOf(huge), kFramesPerHuge);
   HA_COUNT("llfree.return");
   HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kReturn, huge, 0);
   return true;
@@ -1326,6 +1329,10 @@ Reservation LLFree::ReadReservation(unsigned slot) const {
       state_->reservations_[slot].load(std::memory_order_acquire));
 }
 
+DryMemo LLFree::ReadDryMemo() const {
+  return DryMemo::Unpack(state_->dry_memo_.load(std::memory_order_acquire));
+}
+
 uint64_t LLFree::FreeFrames() const {
   uint64_t total = 0;
   for (uint64_t a = 0; a < num_areas(); ++a) {
@@ -1414,6 +1421,8 @@ uint64_t LLFree::Recover() {
       ++repaired;
     }
   }
+  // The counters changed without credits: forget what a probe learned.
+  state_->dry_memo_.store(DryMemo{}.Pack(), std::memory_order_release);
   return repaired;
 }
 
@@ -1473,6 +1482,24 @@ bool LLFree::Validate() const {
     (void)hard_reclaimed;
     if (counted != area_free) {
       fail("tree counter mismatch", t, counted, area_free);
+    }
+  }
+
+  // A dry memo promises that no counter holds its need; a probe never
+  // outlives its GetFallback.
+  const DryMemo memo = ReadDryMemo();
+  if (memo.kind == DryMemo::Kind::kProbing) {
+    fail("dry memo left probing", 0, memo.need, 0);
+  }
+  for (uint64_t t = 0; t < num_trees(); ++t) {
+    if (memo.Covers(ReadTree(t).free)) {
+      fail("dry memo vs tree counter", t, ReadTree(t).free, memo.need);
+    }
+  }
+  for (unsigned s = 0; s < config().NumSlots(); ++s) {
+    const Reservation r = ReadReservation(s);
+    if (r.active && memo.Covers(r.free)) {
+      fail("dry memo vs reservation counter", s, r.free, memo.need);
     }
   }
   return ok;

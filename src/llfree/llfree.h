@@ -83,7 +83,8 @@ class SharedState {
   Atomic<uint64_t>* tree_hints() { return tree_hints_.get(); }
 
   // Size in bytes of the hypervisor-shared portion (bit field + indexes),
-  // for the scan-cost analysis.
+  // for the scan-cost analysis. The dry-zone memo is not counted: the
+  // monitor never scans it.
   uint64_t SharedBytes() const;
 
  private:
@@ -103,6 +104,12 @@ class SharedState {
   std::unique_ptr<Atomic<uint64_t>[]> reservations_;
   // Per-slot search hints (not part of the shared protocol state).
   std::unique_ptr<Atomic<uint64_t>[]> tree_hints_;
+  // Packed DryMemo (DESIGN.md §4.1). Here, not in a view, because every
+  // view's credits must clear it: the monitor's MarkReturned wakes the
+  // guest's allocations. Not padded to a cache line of its own: it is
+  // written only while a zone runs dry, and next to the array pointers
+  // that every operation loads it costs no extra miss per credit.
+  Atomic<uint32_t> dry_memo_;
 };
 
 // A view over a SharedState. Guest and monitor each construct their own
@@ -239,6 +246,7 @@ class LLFree {
   AreaEntry ReadArea(HugeId huge) const;
   TreeEntry ReadTree(uint64_t tree) const;
   Reservation ReadReservation(unsigned slot) const;
+  DryMemo ReadDryMemo() const;
 
   // Exact counts (iterate the area index).
   uint64_t FreeFrames() const;
@@ -253,17 +261,19 @@ class LLFree {
   // Frames per tree (the last tree may be shorter).
   uint64_t TreeCapacity(uint64_t tree) const;
 
-  // Validates cross-level counter/bit-field consistency. Only meaningful
-  // at quiescence (no concurrent operations). Returns false and prints
-  // the first violation to stderr if inconsistent.
+  // Validates cross-level counter/bit-field consistency, and that a dry
+  // memo holds (no counter reaches its need). Only meaningful at
+  // quiescence (no concurrent operations). Returns false and prints the
+  // first violation to stderr if inconsistent.
   bool Validate() const;
 
   // Crash recovery (LLFree is designed to be optionally persistent): the
   // bit field and the huge-allocated flags are the authoritative state;
   // free counters and tree entries are caches that this rebuilds after a
   // crash or corruption. Reservations are cleared, reserved flags
-  // dropped, evicted hints and tree types preserved. Returns the number
-  // of repaired index entries. Quiescent use only.
+  // dropped, evicted hints and tree types preserved, the dry-zone memo
+  // reset to idle. Returns the number of repaired index entries.
+  // Quiescent use only.
   uint64_t Recover();
 
  private:
@@ -279,17 +289,14 @@ class LLFree {
   }
   uint64_t AreasInTree(uint64_t tree) const;
 
-  // Attempts to take `need` frames from the slot's local counter,
-  // re-stealing from the reserved tree's global counter when the local
-  // counter runs dry. Returns the reserved tree index on success.
-  std::optional<uint64_t> TakeFromReservation(unsigned slot, unsigned need);
-
-  // Batch variant: takes between 1 and `max_runs` runs of `run` frames
-  // (as many as the local counter covers), writing the count taken to
-  // `*taken_runs`. Same dry-counter resync as TakeFromReservation.
-  std::optional<uint64_t> TakeUpToFromReservation(unsigned slot, unsigned run,
-                                                  unsigned max_runs,
-                                                  unsigned* taken_runs);
+  // Takes between 1 and `max_runs` runs of 2^order frames (as many as
+  // the slot's local counter covers) and writes the count taken to
+  // `*taken_runs`, re-stealing from the reserved tree's global counter
+  // when the local counter runs dry. Returns the reserved tree index on
+  // success.
+  std::optional<uint64_t> TakeFromReservation(unsigned slot, unsigned order,
+                                              unsigned max_runs,
+                                              unsigned* taken_runs);
 
   // Returns `need` frames: to the slot's reservation if it still points
   // at `tree`, otherwise to the tree's global counter.
@@ -326,8 +333,25 @@ class LLFree {
                                std::vector<FrameId>* out);
 
   // Pressure fallback: steals directly from tree counters, ignoring the
-  // reserved flag, when no tree can be reserved for the slot.
+  // reserved flag, when no tree can be reserved for the slot. The only
+  // writer of a dry memo: a failure that saw no counter holding
+  // 2^order frames records dry(2^order).
   Result<FrameId> GetFallback(unsigned order, bool huge);
+
+  // The dry-zone memo protocol (DESIGN.md §4.1). KnownDry: the memo
+  // proves that ReserveNewTree and GetFallback would both fail for
+  // `need` frames. AnnounceProbe: GetFallback's probing(need) claim,
+  // returning the packed memo it wrote (nullopt when another probe or
+  // a covering dry memo stands); EndProbe completes it to dry or idle.
+  bool KnownDry(unsigned need) const;
+  std::optional<uint32_t> AnnounceProbe(unsigned need);
+  void EndProbe(std::optional<uint32_t> probe, bool dry);
+
+  // Every increment of a tree counter: adds `n` frames (dropping the
+  // reserved flag when `unreserve`), then clears the dry memo.
+  void CreditTree(uint64_t tree, unsigned n, bool unreserve = false);
+  // Follows every counter increment, after the increment.
+  void ClearDryMemo();
 
   // Area-level claim helpers; return true on success.
   bool ClaimBase(uint64_t area, unsigned order, FrameId* out);

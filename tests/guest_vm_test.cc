@@ -286,16 +286,17 @@ TEST_F(GuestVmTest, LLFreeGuestSharesStateWithMonitorView) {
   EXPECT_TRUE(monitor.ReadArea(FrameToHuge(*r - zone.start)).allocated);
 }
 
-TEST_F(GuestVmTest, FullNormalZoneProbeScansTreeIndexTwice) {
+TEST_F(GuestVmTest, DryNormalZoneReprobeScansNoTree) {
 #if !HYPERALLOC_TRACE
   GTEST_SKIP() << "counters compiled out (HYPERALLOC_TRACE=0)";
 #else
   // The Fig. 4 VM (20 GiB, 2 GiB DMA32) after its preparation filled
-  // the 18 GiB Normal zone with huge frames. A 4 KiB allocation probes
-  // the dry Normal zone before DMA32 serves it; the probe may cost one
-  // failed reservation scan plus one fallback scan of the 1152-tree
-  // index, not one scan per preference pass and a second reservation
-  // attempt (11 scans).
+  // the 18 GiB Normal zone with huge frames. The first 4 KiB allocation
+  // probes the dry Normal zone (one failed reservation scan plus one
+  // fallback scan of the 1152-tree index) before DMA32 serves it, and
+  // the fallback records the zone as dry. A second probe then costs one
+  // load of the dry memo and no scan (it used to cost both scans again),
+  // until a free into Normal clears the memo.
   GuestConfig config;
   config.allocator = AllocatorKind::kLLFree;
   Init(config);
@@ -303,19 +304,40 @@ TEST_F(GuestVmTest, FullNormalZoneProbeScansTreeIndexTwice) {
   Zone& normal = vm_->zones()[1];
   ASSERT_EQ(normal.kind, ZoneKind::kNormal);
   ASSERT_EQ(normal.llfree->num_trees(), 1152u);
-  for (uint64_t i = 0; i < normal.llfree->num_areas(); ++i) {
+  // All but one huge frame straight from the allocator; the last one
+  // through the VM, so that the VM can free it again.
+  for (uint64_t i = 0; i + 1 < normal.llfree->num_areas(); ++i) {
     ASSERT_TRUE(normal.llfree->Get(0, kHugeOrder, AllocType::kHuge).ok());
   }
-  // The first allocation also refills DMA32's frame cache; the next one
-  // is served from that cache, so every scan it makes is Normal's.
-  ASSERT_TRUE(vm_->Alloc(0, AllocType::kMovable).ok());
+  const Result<FrameId> last = vm_->Alloc(kHugeOrder, AllocType::kHuge);
+  ASSERT_TRUE(last.ok());
+  ASSERT_TRUE(normal.Contains(*last));
+
   const trace::Counter& scans =
       trace::CounterRegistry::Global().FindOrCreate("llfree.tree_scan");
-  const uint64_t before = scans.Value();
-  const Result<FrameId> r = vm_->Alloc(0, AllocType::kMovable);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(dma32.Contains(*r));
-  EXPECT_LE(scans.Value() - before, 2u);
+  const trace::Counter& skips =
+      trace::CounterRegistry::Global().FindOrCreate("llfree.dry_skip");
+  const Result<FrameId> first = vm_->Alloc(0, AllocType::kMovable);
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(dma32.Contains(*first));
+  EXPECT_TRUE(normal.llfree->ReadDryMemo().Covers(1));
+
+  // The first allocation also refilled DMA32's frame cache; the next one
+  // is served from that cache, so every scan it makes is Normal's.
+  const uint64_t scans_before = scans.Value();
+  const uint64_t skips_before = skips.Value();
+  const Result<FrameId> second = vm_->Alloc(0, AllocType::kMovable);
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(dma32.Contains(*second));
+  EXPECT_EQ(scans.Value() - scans_before, 0u);
+  EXPECT_GE(skips.Value() - skips_before, 1u);
+
+  vm_->Free(*last, kHugeOrder);
+  EXPECT_FALSE(normal.llfree->ReadDryMemo().Covers(1));
+  const Result<FrameId> third = vm_->Alloc(0, AllocType::kMovable);
+  ASSERT_TRUE(third.ok());
+  EXPECT_TRUE(normal.Contains(*third));
+  EXPECT_TRUE(normal.llfree->Validate());
 #endif  // HYPERALLOC_TRACE
 }
 

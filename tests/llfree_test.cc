@@ -262,6 +262,170 @@ TEST_F(LLFreeTest, GetBatchOnEmptyZoneReturnsZero) {
   EXPECT_TRUE(alloc_->Validate());
 }
 
+// Fills a one-tree zone with huge frames, then fails one 4 KiB Get: the
+// fallback saw no counter holding a frame and records dry(1).
+std::vector<FrameId> FillUntilDry(LLFree* alloc) {
+  std::vector<FrameId> huge;
+  for (uint64_t i = 0; i < alloc->num_areas(); ++i) {
+    const Result<FrameId> r = alloc->Get(0, kHugeOrder, AllocType::kHuge);
+    EXPECT_TRUE(r.ok());
+    huge.push_back(*r);
+  }
+  EXPECT_FALSE(alloc->Get(0, 0, AllocType::kMovable).ok());
+  EXPECT_TRUE(alloc->ReadDryMemo().Covers(1));
+  EXPECT_TRUE(alloc->Validate());
+  return huge;
+}
+
+bool MemoIdle(const LLFree& alloc) {
+  return alloc.ReadDryMemo().kind == DryMemo::Kind::kIdle;
+}
+
+TEST_F(LLFreeTest, CounterDryFailureSetsDryMemo) {
+  Init(kFrames16MiB);
+  EXPECT_TRUE(MemoIdle(*alloc_));
+  FillUntilDry(alloc_.get());
+  EXPECT_EQ(alloc_->ReadDryMemo().need, 1u);
+  // Known dry: every order fails, batches included, and nothing changes.
+  EXPECT_FALSE(alloc_->Get(0, 3, AllocType::kMovable).ok());
+  std::vector<FrameId> out;
+  EXPECT_EQ(alloc_->GetBatch(0, 0, 8, AllocType::kMovable, &out), 0u);
+  EXPECT_EQ(alloc_->GetBatch(0, kHugeOrder, 2, AllocType::kMovable, &out),
+            0u);
+  EXPECT_TRUE(alloc_->ReadDryMemo().Covers(1));
+  EXPECT_TRUE(alloc_->Validate());
+}
+
+TEST_F(LLFreeTest, FragmentationFailureLeavesDryMemoIdle) {
+  // Sixteen free frames, no two in one aligned 8-frame block: an order-3
+  // Get fails although a counter holds 8 frames, which is fragmentation,
+  // not dryness.
+  Init(kFrames16MiB);
+  std::vector<FrameId> all;
+  ASSERT_EQ(alloc_->GetBatch(0, 0, kFrames16MiB, AllocType::kMovable, &all),
+            kFrames16MiB);
+  for (FrameId f = 0; f < 16 * 8; f += 8) {
+    ASSERT_FALSE(alloc_->Put(f, 0).has_value());
+  }
+  EXPECT_FALSE(alloc_->Get(0, 3, AllocType::kMovable).ok());
+  EXPECT_TRUE(MemoIdle(*alloc_));
+  EXPECT_TRUE(alloc_->Validate());
+  EXPECT_TRUE(alloc_->Get(0, 0, AllocType::kMovable).ok());
+}
+
+TEST_F(LLFreeTest, DryMemoCoversOnlyItsNeedAndAbove) {
+  // Four frames left in the movable reservation: an order-3 probe finds
+  // no counter with 8 and records dry(8), which says nothing about
+  // single frames.
+  Init(kFrames16MiB);
+  std::vector<FrameId> all;
+  ASSERT_EQ(alloc_->GetBatch(0, 0, kFrames16MiB, AllocType::kMovable, &all),
+            kFrames16MiB);
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_FALSE(alloc_->Put(all[i], 0).has_value());
+  }
+  EXPECT_FALSE(alloc_->Get(0, 3, AllocType::kMovable).ok());
+  const DryMemo memo = alloc_->ReadDryMemo();
+  EXPECT_TRUE(memo.Covers(8));
+  EXPECT_TRUE(memo.Covers(kFramesPerHuge));
+  EXPECT_FALSE(memo.Covers(4));
+  EXPECT_TRUE(alloc_->Validate());
+  EXPECT_TRUE(alloc_->Get(0, 0, AllocType::kMovable).ok());
+}
+
+TEST_F(LLFreeTest, PutClearsDryMemo) {
+  Init(kFrames16MiB);
+  const std::vector<FrameId> huge = FillUntilDry(alloc_.get());
+  ASSERT_FALSE(alloc_->Put(huge[3], kHugeOrder).has_value());
+  EXPECT_TRUE(MemoIdle(*alloc_));
+  EXPECT_TRUE(alloc_->Get(0, 0, AllocType::kMovable).ok());
+  EXPECT_TRUE(alloc_->Validate());
+}
+
+TEST_F(LLFreeTest, PutBatchClearsDryMemo) {
+  Init(kFrames16MiB);
+  std::vector<FrameId> all;
+  ASSERT_EQ(alloc_->GetBatch(0, 0, kFrames16MiB, AllocType::kMovable, &all),
+            kFrames16MiB);
+  EXPECT_FALSE(alloc_->Get(0, 0, AllocType::kMovable).ok());
+  ASSERT_TRUE(alloc_->ReadDryMemo().Covers(1));
+  const std::vector<FrameId> two(all.begin(), all.begin() + 2);
+  ASSERT_EQ(alloc_->PutBatch(two, 0), 2u);
+  EXPECT_TRUE(MemoIdle(*alloc_));
+  std::vector<FrameId> out;
+  EXPECT_EQ(alloc_->GetBatch(0, 0, 8, AllocType::kMovable, &out), 2u);
+  EXPECT_TRUE(alloc_->Validate());
+}
+
+TEST_F(LLFreeTest, MarkReturnedThroughSecondViewClearsDryMemo) {
+  // The monitor returns memory through its own view of the shared state;
+  // the guest's view must see the zone wake up.
+  Init(kFrames16MiB);
+  LLFree monitor(state_.get());
+  for (HugeId h = 0; h < alloc_->num_areas(); ++h) {
+    ASSERT_TRUE(monitor.TryHardReclaim(h));
+  }
+  EXPECT_FALSE(alloc_->Get(0, 0, AllocType::kMovable).ok());
+  ASSERT_TRUE(alloc_->ReadDryMemo().Covers(1));
+  ASSERT_TRUE(monitor.MarkReturned(5));
+  EXPECT_TRUE(MemoIdle(*alloc_));
+  const Result<FrameId> r = alloc_->Get(0, 0, AllocType::kMovable);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(FrameToHuge(*r), 5u);
+  EXPECT_TRUE(alloc_->Validate());
+}
+
+TEST_F(LLFreeTest, DrainReservationsClearsDryMemo) {
+  // dry(8) while the movable reservation parks 4 frames; the drain moves
+  // them to the tree counter, an increment like any other.
+  Init(kFrames16MiB);
+  std::vector<FrameId> all;
+  ASSERT_EQ(alloc_->GetBatch(0, 0, kFrames16MiB, AllocType::kMovable, &all),
+            kFrames16MiB);
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_FALSE(alloc_->Put(all[i], 0).has_value());
+  }
+  EXPECT_FALSE(alloc_->Get(0, 3, AllocType::kMovable).ok());
+  ASSERT_TRUE(alloc_->ReadDryMemo().Covers(8));
+  ASSERT_EQ(alloc_->ReadReservation(static_cast<unsigned>(
+                AllocType::kMovable)).free,
+            4u);
+  alloc_->DrainReservations();
+  EXPECT_TRUE(MemoIdle(*alloc_));
+  EXPECT_TRUE(alloc_->Validate());
+}
+
+TEST_F(LLFreeTest, FrameCacheDrainClearsDryMemo) {
+  Init(kFrames16MiB);
+  FrameCache::CacheConfig cc;
+  cc.slots = 1;
+  cc.capacity = 64;
+  cc.refill = 32;
+  FrameCache cache(alloc_.get(), cc);
+  const Result<FrameId> cached = cache.Get(0, 0, AllocType::kMovable);
+  ASSERT_TRUE(cached.ok());
+  std::vector<FrameId> rest;
+  ASSERT_EQ(alloc_->GetBatch(0, 0, kFrames16MiB, AllocType::kMovable, &rest),
+            kFrames16MiB - cc.refill);
+  EXPECT_FALSE(alloc_->Get(0, 0, AllocType::kMovable).ok());
+  ASSERT_TRUE(alloc_->ReadDryMemo().Covers(1));
+  // The cache parks the free; only its drain reaches the allocator.
+  EXPECT_FALSE(cache.Put(0, *cached, 0, AllocType::kMovable).has_value());
+  EXPECT_TRUE(alloc_->ReadDryMemo().Covers(1));
+  cache.Drain();
+  EXPECT_TRUE(MemoIdle(*alloc_));
+  EXPECT_EQ(alloc_->FreeFrames(), cc.refill);
+  EXPECT_TRUE(alloc_->Validate());
+}
+
+TEST_F(LLFreeTest, RecoverResetsDryMemo) {
+  Init(kFrames16MiB);
+  FillUntilDry(alloc_.get());
+  alloc_->Recover();  // drops the huge slot's (empty) reservation
+  EXPECT_TRUE(MemoIdle(*alloc_));
+  EXPECT_TRUE(alloc_->Validate());
+}
+
 TEST_F(LLFreeTest, FrameCacheHitsAvoidAllocator) {
   Init(kFrames16MiB);
   FrameCache::CacheConfig cc;
