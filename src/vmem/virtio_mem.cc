@@ -16,6 +16,7 @@ VirtioMem::VirtioMem(guest::GuestVm* vm, const VmemConfig& config)
   num_blocks_ = zone.frames / kFramesPerHuge;
   plugged_.assign(num_blocks_, true);  // boot with everything plugged
   plugged_blocks_ = num_blocks_;
+  plugged_end_ = num_blocks_;
 
   if (vm_->config().vfio) {
     // DMA safety by pre-population: all guest memory (static zones and
@@ -150,15 +151,13 @@ void VirtioMem::Request(const hv::ResizeRequest& request) {
 }
 
 bool VirtioMem::UnplugOneBlock() {
-  // Decreasing address order (§5.4).
-  uint64_t block = num_blocks_;
-  for (uint64_t b = num_blocks_; b-- > 0;) {
-    if (plugged_[b]) {
-      block = b;
-      break;
-    }
+  // Decreasing address order (§5.4): the highest plugged block, found
+  // from the cursor down (no block at or above it is plugged).
+  while (plugged_end_ > 0 && !plugged_[plugged_end_ - 1]) {
+    --plugged_end_;
   }
-  HA_CHECK(block != num_blocks_);
+  HA_CHECK(plugged_end_ > 0);
+  const uint64_t block = plugged_end_ - 1;
 
   guest::Zone& zone = movable_zone();
   const FrameId global_first = BlockFirstFrame(block);
@@ -294,6 +293,7 @@ bool VirtioMem::UnplugOneBlock() {
 
   plugged_[block] = false;
   --plugged_blocks_;
+  plugged_end_ = block;
   return true;
 }
 
@@ -428,6 +428,7 @@ bool VirtioMem::PlugOneBlock(uint64_t block) {
 
   plugged_[block] = true;
   ++plugged_blocks_;
+  plugged_end_ = std::max(plugged_end_, block + 1);
   return true;
 }
 

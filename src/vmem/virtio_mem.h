@@ -106,6 +106,9 @@ class VirtioMem : public hv::Deflator {
   uint64_t num_blocks_;
   std::vector<bool> plugged_;
   uint64_t plugged_blocks_ = 0;
+  // One past the highest plugged block: every block at or above it is
+  // unplugged. Unplug lowers it, plug raises it.
+  uint64_t plugged_end_ = 0;
   bool busy_ = false;
   bool auto_running_ = false;
 
