@@ -66,11 +66,10 @@ Setup MakeSetup(Candidate candidate, const SetupOptions& options) {
   Setup setup;
   setup.candidate = candidate;
   setup.sim = std::make_unique<sim::Simulation>();
-  // Stamp trace events with this simulation's virtual clock. A Setup owns
-  // exactly one simulation; bundles on shared or per-VM simulations (the
-  // fleet) leave the process-global time source alone, so worker threads
-  // never read another VM's clock.
-  trace::Tracer::Global().SetTimeSource(setup.sim.get());
+  // Stamp trace records with this simulation's virtual clock. A Setup
+  // owns exactly one simulation; the fleet's per-VM simulations reach the
+  // tracer through each VM's SpanContext instead.
+  trace::SpanTracer::Global().SetTimeSource(setup.sim.get());
   setup.host =
       std::make_unique<hv::HostMemory>(FramesForBytes(options.host_bytes));
   VmBundle bundle =

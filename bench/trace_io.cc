@@ -24,10 +24,10 @@ TraceOutput::TraceOutput(int argc, char** argv) {
   }
 #if HYPERALLOC_TRACE
   // Benches emit from a single thread; one big ring keeps whole runs.
-  trace::Tracer::Global().SetCapacity(size_t{1} << 20);
-  trace::Tracer::Global().SetEnabled(true);
-  trace::SpanTracer::Global().SetCapacity(size_t{1} << 20);
-  trace::SpanTracer::Global().SetEnabled(true);
+  trace::SpanTracer& tracer = trace::SpanTracer::Global();
+  tracer.SetCapacity(size_t{1} << 20);
+  tracer.SetEnabled(true);
+  tracer.SetEventsEnabled(true);
 #else
   std::fprintf(stderr,
                "warning: --trace-out ignored (built with "
@@ -41,9 +41,10 @@ TraceOutput::~TraceOutput() {
   if (path_.empty()) {
     return;
   }
-  trace::Tracer::Global().SetEnabled(false);
-  trace::Tracer::Global().SetTimeSource(nullptr);
-  trace::SpanTracer::Global().SetEnabled(false);
+  trace::SpanTracer& tracer = trace::SpanTracer::Global();
+  tracer.SetEnabled(false);
+  tracer.SetEventsEnabled(false);
+  tracer.SetTimeSource(nullptr);
   trace::WriteTraceArtifact(path_);
   std::fprintf(stderr, "trace written to %s\n", path_.c_str());
 #endif

@@ -2,9 +2,10 @@
 //
 // Every bench binary constructs one TraceOutput at the top of main(). If
 // --trace-out=PATH (or "--trace-out PATH") is present on the command line,
-// event tracing is enabled with an enlarged per-thread ring and the merged
-// artifact (JSON or CSV, chosen by extension — see src/trace/export.h) is
-// written when the object is destroyed, i.e. after the benchmark ran.
+// spans and instant records are enabled with an enlarged per-thread ring
+// and the artifact set (JSON or CSV, chosen by extension — see
+// src/trace/export.h) is written when the object is destroyed, i.e.
+// after the benchmark ran.
 #ifndef HYPERALLOC_BENCH_TRACE_IO_H_
 #define HYPERALLOC_BENCH_TRACE_IO_H_
 

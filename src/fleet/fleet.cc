@@ -27,6 +27,20 @@ struct Fnv1a {
   void Mix(double v) { Mix(std::bit_cast<uint64_t>(v)); }
 };
 
+// VM `index`'s trace context: its id and its own clock, so its spans and
+// instant records never read another VM's time.
+trace::SpanContext VmSpanContext(uint64_t index, const sim::Simulation* sim) {
+  trace::SpanContext context;
+#if HYPERALLOC_TRACE
+  context.vm = static_cast<uint32_t>(index);
+  context.clock = sim;
+#else
+  (void)index;
+  (void)sim;
+#endif
+  return context;
+}
+
 }  // namespace
 
 // Nearest-rank percentile over an unsorted sample (copied in, sorted
@@ -193,6 +207,7 @@ void FleetEngine::BuildVms() {
       state->own_sim = std::make_unique<sim::Simulation>();
       state->sim = state->own_sim.get();
     }
+    trace::ScopedContext scoped(VmSpanContext(i, state->sim));
     state->parts = vm_factory_(state->sim, host_.get(), i,
                                "vm" + std::to_string(i));
     HA_CHECK(state->parts.vm != nullptr);
@@ -401,14 +416,9 @@ void FleetEngine::ControlStep(sim::Time barrier, FleetResult* result) {
       state->digest.Mix(r.rollbacks);
     };
     {
-#if HYPERALLOC_TRACE
       // The root request span must carry this VM's id and clock even
       // though it is issued from the control thread.
-      trace::SpanContext span_context;
-      span_context.vm = static_cast<uint32_t>(i);
-      span_context.clock = s.sim;
-      trace::ScopedContext scoped(span_context);
-#endif
+      trace::ScopedContext scoped(VmSpanContext(i, s.sim));
       s.parts.deflator->Request(request);
     }
   }
@@ -481,12 +491,7 @@ void FleetEngine::RunEpochs(FleetResult* result) {
        barrier += config_.epoch) {
     ParallelPass([this, barrier](uint64_t i) {
       VmState& s = *states_[i];
-#if HYPERALLOC_TRACE
-      trace::SpanContext span_context;
-      span_context.vm = static_cast<uint32_t>(i);
-      span_context.clock = s.sim;
-      trace::ScopedContext scoped(span_context);
-#endif
+      trace::ScopedContext scoped(VmSpanContext(i, s.sim));
       s.sim->RunUntil(barrier);
     });
     ControlStep(barrier, result);
@@ -496,12 +501,7 @@ void FleetEngine::RunEpochs(FleetResult* result) {
   // horizon, so only resize machinery remains — bounded by design.
   ParallelPass([this](uint64_t i) {
     VmState& s = *states_[i];
-#if HYPERALLOC_TRACE
-    trace::SpanContext span_context;
-    span_context.vm = static_cast<uint32_t>(i);
-    span_context.clock = s.sim;
-    trace::ScopedContext scoped(span_context);
-#endif
+    trace::ScopedContext scoped(VmSpanContext(i, s.sim));
     while (s.parts.deflator != nullptr && s.parts.deflator->busy()) {
       HA_CHECK(s.sim->Step());
     }
@@ -529,12 +529,7 @@ void FleetEngine::RunToCompletion() {
   // events forever; the agent's finished() is the termination signal.
   ParallelPass([this](uint64_t i) {
     VmState& s = *states_[i];
-#if HYPERALLOC_TRACE
-    trace::SpanContext span_context;
-    span_context.vm = static_cast<uint32_t>(i);
-    span_context.clock = s.sim;
-    trace::ScopedContext scoped(span_context);
-#endif
+    trace::ScopedContext scoped(VmSpanContext(i, s.sim));
     while (!s.agent->finished()) {
       HA_CHECK(s.sim->Step());
     }

@@ -214,27 +214,26 @@ void Pipeline::EmitMarker(sim::Time at, const char* name, uint64_t arg0,
   if (!options_.emit_spans) {
     return;
   }
-  if (trace::Tracer::Global().enabled()) {
-    trace::Tracer::Global().Emit(trace::Category::kTelemetry, op, arg0, arg1);
-  }
   trace::SpanTracer& spans = trace::SpanTracer::Global();
   if (!spans.enabled()) {
     return;
   }
-  // Zero-length marker span on the pseudo "fleet" process (vm == fleet
-  // size, one past the last real VM) so alerts render alongside the
-  // request spans in Perfetto/ha_trace_tool without claiming a VM.
+  // Instant record on the pseudo "fleet" process (vm == fleet size, one
+  // past the last real VM) so alerts render alongside the request spans
+  // in Perfetto/ha_trace_tool without claiming a VM.
   trace::SpanRecord record;
   record.trace_id = spans.NewTraceId();
-  record.span_id = spans.NewSpanId();
   record.vm = static_cast<uint32_t>(vms_);
   record.layer = trace::Layer::kTelemetry;
+  record.category = trace::Category::kTelemetry;
+  record.op = op;
   record.name = name;
   record.begin_vns = at;
   record.end_vns = at;
   record.begin_wall_ns = trace::WallNowNs();
   record.end_wall_ns = record.begin_wall_ns;
-  record.frames = arg0;
+  record.arg0 = arg0;
+  record.arg1 = arg1;
   spans.Emit(record);
 }
 

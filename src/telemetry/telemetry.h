@@ -17,8 +17,8 @@
 // completions over the latency target; pool pressure over its ceiling);
 // burn = mean(error fraction over window) / error budget. An alert fires
 // on the rising edge of (fast-window burn >= fast threshold AND
-// slow-window burn >= slow threshold) and is emitted as a zero-length
-// kTelemetry span plus a kTelemetry/kAlert trace event.
+// slow-window burn >= slow threshold) and is emitted as a
+// kTelemetry/kAlert instant record.
 //
 // Flight recorder: a bounded ring of the last `flight_depth` epochs of
 // full fleet snapshots (per-VM gauges, shard rollups, allowlisted
@@ -54,8 +54,8 @@ struct TelemetryOptions {
   // series are always kept). Off by default: at 1024 VMs the per-VM
   // series dominate the result's footprint.
   bool record_vm_series = false;
-  // Emit alert/flight markers as kTelemetry spans + trace events when
-  // the global tracers are enabled.
+  // Emit alert/flight markers as kTelemetry instant records when the
+  // tracer records spans.
   bool emit_spans = true;
 
   // Burn-rate monitor. Budget is the error budget of the availability

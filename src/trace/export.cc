@@ -97,16 +97,12 @@ std::map<std::string, std::string> PrometheusNameMap(
   return out;
 }
 
-void WriteJson(const std::string& path) {
+void WriteJson(const std::string& path,
+               const std::vector<SpanRecord>& records) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   HA_CHECK(file != nullptr);
 
-  const uint64_t dropped = Tracer::Global().dropped_events();
-  const std::vector<TraceEvent> events = Tracer::Global().Drain();
-
-  std::fprintf(file, "{\n  \"dropped_events\": %" PRIu64 ",\n", dropped);
-
-  std::fprintf(file, "  \"counters\": {");
+  std::fprintf(file, "{\n  \"counters\": {");
   bool first = true;
   for (const auto& [name, value] : CounterRegistry::Global().Counters()) {
     std::fprintf(file, "%s\n    ", first ? "" : ",");
@@ -127,15 +123,18 @@ void WriteJson(const std::string& path) {
   }
   std::fprintf(file, "\n  },\n");
 
-  // Events as compact [t_ns, "category", "op", arg0, arg1] rows, already
-  // sorted by (virtual time, emission order).
+  // Instant records as compact [t_ns, "category", "op", arg0, arg1] rows,
+  // already sorted by (virtual time, emission order).
   std::fprintf(file, "  \"events\": [");
   first = true;
-  for (const TraceEvent& event : events) {
+  for (const SpanRecord& event : records) {
+    if (!event.instant()) {
+      continue;
+    }
     std::fprintf(file,
                  "%s\n    [%" PRIu64 ",\"%s\",\"%s\",%" PRIu64 ",%" PRIu64
                  "]",
-                 first ? "" : ",", event.at, Name(event.category),
+                 first ? "" : ",", event.begin_vns, Name(event.category),
                  Name(event.op), event.arg0, event.arg1);
     first = false;
   }
@@ -144,12 +143,14 @@ void WriteJson(const std::string& path) {
   // Spans as compact [trace_id, span_id, parent_id, vm, "layer", "name",
   // begin_vns, end_vns, charge_ns, frames, huge_frames, faults,
   // retries] rows.
-  const uint64_t dropped_spans = SpanTracer::Global().dropped_spans();
-  const std::vector<SpanRecord> spans = SpanTracer::Global().Drain();
-  std::fprintf(file, "  \"dropped_spans\": %" PRIu64 ",\n", dropped_spans);
+  std::fprintf(file, "  \"dropped_spans\": %" PRIu64 ",\n",
+               SpanTracer::Global().dropped_spans());
   std::fprintf(file, "  \"spans\": [");
   first = true;
-  for (const SpanRecord& span : spans) {
+  for (const SpanRecord& span : records) {
+    if (span.instant()) {
+      continue;
+    }
     std::fprintf(file,
                  "%s\n    [%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%u,\"%s\",",
                  first ? "" : ",", span.trace_id, span.span_id,
@@ -182,33 +183,38 @@ void WriteCountersCsv(const std::string& path) {
 }
 
 void WriteEventsCsv(const std::string& path,
-                    const std::vector<TraceEvent>& events) {
+                    const std::vector<SpanRecord>& records) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   HA_CHECK(file != nullptr);
   std::fprintf(file, "time_ns,category,op,arg0,arg1\n");
-  for (const TraceEvent& event : events) {
-    std::fprintf(file, "%" PRIu64 ",%s,%s,%" PRIu64 ",%" PRIu64 "\n",
-                 event.at, Name(event.category), Name(event.op), event.arg0,
-                 event.arg1);
+  for (const SpanRecord& event : records) {
+    if (event.instant()) {
+      std::fprintf(file, "%" PRIu64 ",%s,%s,%" PRIu64 ",%" PRIu64 "\n",
+                   event.begin_vns, Name(event.category), Name(event.op),
+                   event.arg0, event.arg1);
+    }
   }
   std::fclose(file);
 }
 
 void WritePerfettoJson(const std::string& path,
-                       const std::vector<SpanRecord>& spans) {
+                       const std::vector<SpanRecord>& records) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   HA_CHECK(file != nullptr);
   std::fprintf(file, "{\"traceEvents\":[");
   bool first = true;
 
   // Name the tracks: one "process" per VM, one "thread" per layer.
-  // seen[vm] is a bitmask of layers with at least one span.
+  // seen[vm] is a bitmask of layers with at least one span, plus bit
+  // kNumLayers for a VM with instant records.
   std::vector<uint32_t> seen;
-  for (const SpanRecord& span : spans) {
-    if (span.vm >= seen.size()) {
-      seen.resize(span.vm + 1, 0);
+  for (const SpanRecord& record : records) {
+    if (record.vm >= seen.size()) {
+      seen.resize(record.vm + 1, 0);
     }
-    seen[span.vm] |= 1u << static_cast<unsigned>(span.layer);
+    seen[record.vm] |=
+        1u << (record.instant() ? kNumLayers
+                                : static_cast<unsigned>(record.layer));
   }
   for (uint32_t vm = 0; vm < seen.size(); ++vm) {
     if (seen[vm] == 0) {
@@ -231,11 +237,24 @@ void WritePerfettoJson(const std::string& path,
     }
   }
 
-  // Spans as ph:"X" complete events; ts/dur are µs of virtual time.
-  for (const SpanRecord& span : spans) {
-    std::fprintf(file,
-                 "%s\n{\"name\":", first ? "" : ",");
-    PrintJsonString(file, span.name);
+  // Spans as ph:"X" complete events, instants as process-scoped ph:"i"
+  // events; ts/dur are µs of virtual time.
+  for (const SpanRecord& record : records) {
+    std::fprintf(file, "%s\n{\"name\":", first ? "" : ",");
+    PrintJsonString(file, record.name);
+    first = false;
+    if (record.instant()) {
+      std::fprintf(
+          file,
+          ",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"p\",\"pid\":%u,"
+          "\"ts\":%.3f,\"args\":{\"trace_id\":%" PRIu64
+          ",\"parent_id\":%" PRIu64 ",\"arg0\":%" PRIu64 ",\"arg1\":%" PRIu64
+          "}}",
+          Name(record.category), record.vm,
+          static_cast<double>(record.begin_vns) / 1000.0, record.trace_id,
+          record.parent_id, record.arg0, record.arg1);
+      continue;
+    }
     std::fprintf(
         file,
         ",\"ph\":\"X\",\"pid\":%u,\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f,"
@@ -244,32 +263,32 @@ void WritePerfettoJson(const std::string& path,
         ",\"frames\":%" PRIu64 ",\"huge_frames\":%" PRIu64
         ",\"faults\":%" PRIu64 ",\"retries\":%" PRIu64
         ",\"wall_ns\":%" PRIu64 "}}",
-        span.vm, static_cast<unsigned>(span.layer),
-        static_cast<double>(span.begin_vns) / 1000.0,
-        static_cast<double>(span.virtual_ns()) / 1000.0, span.trace_id,
-        span.span_id, span.parent_id, span.charge_ns, span.frames,
-        span.huge_frames, span.faults, span.retries, span.wall_ns());
-    first = false;
+        record.vm, static_cast<unsigned>(record.layer),
+        static_cast<double>(record.begin_vns) / 1000.0,
+        static_cast<double>(record.virtual_ns()) / 1000.0, record.trace_id,
+        record.span_id, record.parent_id, record.charge_ns, record.frames,
+        record.huge_frames, record.faults, record.retries, record.wall_ns());
   }
   std::fprintf(file, "\n],\"displayTimeUnit\":\"ns\"}\n");
   std::fclose(file);
 }
 
 void WriteSpansCsv(const std::string& path,
-                   const std::vector<SpanRecord>& spans) {
+                   const std::vector<SpanRecord>& records) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   HA_CHECK(file != nullptr);
   std::fprintf(file,
                "trace_id,span_id,parent_id,vm,layer,name,begin_vns,"
                "end_vns,charge_ns,frames,huge_frames,faults,retries,"
                "begin_wall_ns,end_wall_ns\n");
-  for (const SpanRecord& span : spans) {
+  for (const SpanRecord& span : records) {
     std::fprintf(file,
                  "%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%u,%s,%s,%" PRIu64
                  ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
                  ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
                  span.trace_id, span.span_id, span.parent_id, span.vm,
-                 Name(span.layer), span.name, span.begin_vns, span.end_vns,
+                 span.instant() ? Name(span.category) : Name(span.layer),
+                 span.name, span.begin_vns, span.end_vns,
                  span.charge_ns, span.frames, span.huge_frames,
                  span.faults, span.retries, span.begin_wall_ns,
                  span.end_wall_ns);
@@ -324,17 +343,17 @@ void WritePrometheus(const std::string& path) {
 }
 
 void WriteTraceArtifact(const std::string& path) {
-  const std::vector<SpanRecord> spans = SpanTracer::Global().Drain();
-  WriteSpansCsv(path + ".spans.csv", spans);
-  WritePerfettoJson(path + ".perfetto.json", spans);
+  const std::vector<SpanRecord> records = SpanTracer::Global().Drain();
+  WriteSpansCsv(path + ".spans.csv", records);
+  WritePerfettoJson(path + ".perfetto.json", records);
   WritePrometheus(path + ".prom");
   const bool json =
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
   if (json) {
-    WriteJson(path);
+    WriteJson(path, records);
     return;
   }
-  WriteEventsCsv(path, Tracer::Global().Drain());
+  WriteEventsCsv(path, records);
   WriteCountersCsv(path + ".counters.csv");
 }
 

@@ -19,10 +19,15 @@
 // tracer is enabled AND a trace id is in scope — hot paths outside a
 // request (workload allocation storms) stay span-free.
 //
+// Records: spans go to the one tracer (SpanTracer, trace.h), into the
+// same per-thread rings as the instant records of HA_TRACE_EVENT. An
+// instant takes its VM, trace id and clock from the thread's SpanContext
+// and is parented under the innermost open Span.
+//
 // Clocks: `begin_vns`/`end_vns` come from the per-context virtual clock
-// (the owning simulation), falling back to the global Tracer time
-// source; `begin_wall_ns`/`end_wall_ns` are steady_clock wall time, so
-// exporters can show virtual/wall skew.
+// (the owning simulation), falling back to the tracer's time source
+// (SpanTracer::SetTimeSource); `begin_wall_ns`/`end_wall_ns` are
+// steady_clock wall time, so exporters can show virtual/wall skew.
 //
 // Compile-out: with -DHYPERALLOC_TRACE=0 Span/ScopedContext/RequestSpan
 // collapse to empty types (sizeof == 1, no members, no code) and
@@ -31,111 +36,11 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "src/sim/simulation.h"
-#include "src/trace/span_ring.h"
 #include "src/trace/trace.h"
 
 namespace hyperalloc::trace {
-
-// The layer a span accounts to — the tree levels of the de/inflation
-// path (ISSUE: monitor -> backend -> llfree -> ept/iommu -> host pool).
-enum class Layer : uint8_t {
-  kRequest,   // resize-request roots and slices
-  kMonitor,   // HyperAlloc monitor state work (reclaim/return/install)
-  kBackend,   // virtio-balloon / virtio-mem driver + device work
-  kGuest,     // guest-side allocator & migration work
-  kLLFree,    // shared page-frame allocator operations
-  kEpt,        // second-stage unmap/populate (madvise, TLB shootdown)
-  kIommu,      // VFIO pin/unpin + IOTLB flushes
-  kHostPool,   // sharded host frame pool slow paths
-  kTelemetry,  // fleet telemetry markers (SLO burn-rate alerts)
-};
-
-const char* Name(Layer layer);
-inline constexpr unsigned kNumLayers = 9;
-
-// One closed span. `name` must be a string literal (stored by pointer).
-struct SpanRecord {
-  uint64_t trace_id = 0;
-  uint64_t span_id = 0;
-  uint64_t parent_id = 0;  // 0 = root
-  uint64_t begin_vns = 0;  // virtual clock, ns
-  uint64_t end_vns = 0;
-  uint64_t begin_wall_ns = 0;
-  uint64_t end_wall_ns = 0;
-  uint64_t charge_ns = 0;  // cost-model ns attributed to this span
-  uint64_t frames = 0;     // frames this span operated on
-  // Huge/base split (DESIGN.md §4.14): of `frames`, how many moved as
-  // whole 2 MiB units (counted in base frames, so huge_frames <= frames
-  // and frames - huge_frames is the base-granular remainder).
-  uint64_t huge_frames = 0;
-  uint64_t faults = 0;     // injected faults observed under this span
-  uint64_t retries = 0;    // retries (after backoff) under this span
-  uint64_t seq = 0;        // global emission order (tie-break)
-  uint32_t vm = 0;
-  Layer layer = Layer::kRequest;
-  const char* name = "";
-
-  uint64_t virtual_ns() const { return end_vns - begin_vns; }
-  uint64_t wall_ns() const { return end_wall_ns - begin_wall_ns; }
-};
-
-// Process-wide span sink: per-thread single-writer rings (drainable
-// while the writers run — see span_ring.h), a retired list for exited
-// threads, and monotonic trace-/span-id generators. Always compiled
-// (like Tracer); the RAII instrumentation types below compile out.
-class SpanTracer {
- public:
-  static SpanTracer& Global();
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void SetEnabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
-  uint64_t NewTraceId() {
-    return next_trace_id_.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t NewSpanId() {
-    return next_span_id_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // Stamps `record.seq` and appends it to the calling thread's ring.
-  void Emit(SpanRecord record);
-
-  // Collects every buffered span — live and retired — sorted by
-  // (begin_vns, seq). Safe while writers run (they may keep appending;
-  // a drain only misses spans emitted after it started).
-  std::vector<SpanRecord> Drain();
-
-  // Spans dropped on full rings since the last reset (cumulative).
-  uint64_t dropped_spans() const;
-
-  // Ring capacity (spans per thread); resizes and clears existing
-  // buffers. Quiescence only.
-  void SetCapacity(size_t spans_per_thread);
-
-  void ResetForTest();
-
- private:
-  friend struct SpanThreadHandle;
-  struct ThreadBuffer;
-
-  SpanTracer() = default;
-  ThreadBuffer& LocalBuffer();
-  void Register(ThreadBuffer* buffer);
-  void Retire(ThreadBuffer* buffer);
-
-  std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> seq_{0};
-  std::atomic<uint64_t> next_trace_id_{1};
-  std::atomic<uint64_t> next_span_id_{1};
-  struct Impl;
-  Impl* impl();
-  const Impl* impl() const;
-};
 
 // Wall clock (steady), ns since an arbitrary epoch.
 uint64_t WallNowNs();
@@ -259,7 +164,7 @@ class Span {
 
   static uint64_t VirtualNow() {
     const sim::Simulation* clock = ThreadSpanContext().clock;
-    return clock != nullptr ? clock->now() : Tracer::Global().Now();
+    return clock != nullptr ? clock->now() : SpanTracer::Global().Now();
   }
 
   SpanRecord record_;
@@ -285,22 +190,25 @@ inline void AttributeCharge(uint64_t ns) {
 class RequestSpan {
  public:
   void Start(const char* name) {
+    if (active_) {
+      return;
+    }
+    // The VM and clock are kept even while spans are off: the request's
+    // slices re-enter them, and their instant records read them.
+    const SpanContext& context = ThreadSpanContext();
+    record_ = SpanRecord{};
+    record_.vm = context.vm;
+    clock_ = context.clock;
     SpanTracer& tracer = SpanTracer::Global();
-    if (!tracer.enabled() || active_) {
+    if (!tracer.enabled()) {
       return;
     }
     active_ = true;
-    record_ = SpanRecord{};
-    const SpanContext& context = ThreadSpanContext();
     record_.trace_id = tracer.NewTraceId();
     record_.span_id = tracer.NewSpanId();
-    record_.parent_id = 0;
-    record_.vm = context.vm;
     record_.layer = Layer::kRequest;
     record_.name = name;
-    clock_ = context.clock;
-    record_.begin_vns =
-        clock_ != nullptr ? clock_->now() : Tracer::Global().Now();
+    record_.begin_vns = clock_ != nullptr ? clock_->now() : tracer.Now();
     record_.begin_wall_ns = WallNowNs();
   }
 
@@ -334,7 +242,7 @@ class RequestSpan {
     }
     active_ = false;
     record_.end_vns =
-        clock_ != nullptr ? clock_->now() : Tracer::Global().Now();
+        clock_ != nullptr ? clock_->now() : SpanTracer::Global().Now();
     record_.end_wall_ns = WallNowNs();
     SpanTracer::Global().Emit(record_);
   }
@@ -345,7 +253,7 @@ class RequestSpan {
   // the clock the request started on.
   SpanContext context() const {
     return SpanContext{.trace_id = active_ ? record_.trace_id : 0,
-                       .parent_span = record_.span_id,
+                       .parent_span = active_ ? record_.span_id : 0,
                        .vm = record_.vm,
                        .clock = clock_};
   }

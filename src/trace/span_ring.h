@@ -1,12 +1,12 @@
-// Single-writer / single-drainer span ring buffer.
+// Single-writer / single-drainer record ring buffer: the tracer's one
+// per-thread ring (SpanTracer, src/trace/trace.h), holding spans and
+// instant records alike.
 //
-// Unlike the TraceEvent rings (src/trace/trace.h), which overwrite their
-// oldest entries and may only be drained at quiescence, this ring is safe
-// to drain *while the owning thread keeps emitting* — the exporter thread
-// of a long-running process can stream spans out without stopping the
-// world. The price is drop-NEWEST semantics: when the ring is full the
-// writer counts the span as dropped and keeps going (never stalls, never
-// touches a slot the drainer may be reading).
+// The ring is safe to drain *while the owning thread keeps emitting* —
+// the exporter thread of a long-running process can stream records out
+// without stopping the world. The price is drop-NEWEST semantics: when
+// the ring is full the writer counts the record as dropped and keeps
+// going (never stalls, never touches a slot the drainer may be reading).
 //
 // Protocol (indices are free-running uint64 positions, slot = pos % cap):
 //   writer:  h = head(relaxed); t = tail(acquire);

@@ -5,6 +5,9 @@
 #include <memory>
 #include <mutex>
 
+#include "src/trace/span.h"
+#include "src/trace/span_ring.h"
+
 namespace hyperalloc::trace {
 
 unsigned ThreadShardIndex() {
@@ -101,7 +104,7 @@ void CounterRegistry::ResetForTest() {
 }
 
 // ----------------------------------------------------------------------
-// Tracer
+// Tracing
 // ----------------------------------------------------------------------
 
 const char* Name(Category category) {
@@ -194,158 +197,179 @@ const char* Name(Op op) {
   return "?";
 }
 
+const char* Name(Layer layer) {
+  switch (layer) {
+    case Layer::kRequest:
+      return "request";
+    case Layer::kMonitor:
+      return "monitor";
+    case Layer::kBackend:
+      return "backend";
+    case Layer::kGuest:
+      return "guest";
+    case Layer::kLLFree:
+      return "llfree";
+    case Layer::kEpt:
+      return "ept";
+    case Layer::kIommu:
+      return "iommu";
+    case Layer::kHostPool:
+      return "hostpool";
+    case Layer::kTelemetry:
+      return "telemetry";
+  }
+  return "?";
+}
+
 namespace {
-constexpr size_t kDefaultRingCapacity = 1 << 16;
+constexpr size_t kDefaultSpanRingCapacity = 1 << 16;
 }  // namespace
 
-struct Tracer::Impl {
-  mutable std::mutex mu;
-  size_t capacity = kDefaultRingCapacity;
-  std::vector<ThreadBuffer*> live;
-  std::vector<TraceEvent> retired;
-  uint64_t dropped = 0;
+using SpanRing = RingCore<SpanRecord, std::atomic>;
 
-  // Appends `buffer`'s events (oldest first) to `out` and resets it.
-  // Caller holds `mu`.
-  void CollectLocked(ThreadBuffer* buffer, std::vector<TraceEvent>* out) {
-    const size_t cap = buffer->ring.size();
-    if (cap == 0 || buffer->head == 0) {
-      return;
-    }
-    if (buffer->head > cap) {
-      dropped += buffer->head - cap;
-      const size_t start = buffer->head % cap;
-      out->insert(out->end(), buffer->ring.begin() + start,
-                  buffer->ring.end());
-      out->insert(out->end(), buffer->ring.begin(),
-                  buffer->ring.begin() + start);
-    } else {
-      out->insert(out->end(), buffer->ring.begin(),
-                  buffer->ring.begin() + buffer->head);
-    }
-    buffer->head = 0;
-  }
+struct SpanTracer::ThreadBuffer {
+  SpanRing ring{kDefaultSpanRingCapacity};
+  SpanTracer* owner = nullptr;
 };
 
-// RAII registration of the calling thread's ring buffer; the destructor
-// moves any remaining events into the tracer's retired list so traces
-// survive thread exit.
-struct TracerThreadHandle {
-  Tracer::ThreadBuffer buffer;
+struct SpanTracer::Impl {
+  mutable std::mutex mu;
+  size_t capacity = kDefaultSpanRingCapacity;
+  std::vector<ThreadBuffer*> live;
+  std::vector<SpanRecord> retired;
+  uint64_t retired_dropped = 0;
+};
 
-  ~TracerThreadHandle() {
+// RAII registration of the calling thread's ring; the destructor moves
+// any remaining records into the retired list so traces survive thread
+// exit (the multi-VM harness joins its workers before draining).
+struct SpanThreadHandle {
+  SpanTracer::ThreadBuffer buffer;
+
+  ~SpanThreadHandle() {
     if (buffer.owner != nullptr) {
       buffer.owner->Retire(&buffer);
     }
   }
 };
 
-Tracer& Tracer::Global() {
-  // Leaked singleton: must outlive every thread's TracerThreadHandle.
-  static Tracer* global = new Tracer;
+SpanTracer& SpanTracer::Global() {
+  // Leaked singleton: must outlive every thread's SpanThreadHandle.
+  static SpanTracer* global = new SpanTracer;
   return *global;
 }
 
-Tracer::Impl* Tracer::impl() {
+SpanTracer::Impl* SpanTracer::impl() {
   static Impl* impl = new Impl;
   return impl;
 }
 
-const Tracer::Impl* Tracer::impl() const {
-  return const_cast<Tracer*>(this)->impl();
+const SpanTracer::Impl* SpanTracer::impl() const {
+  return const_cast<SpanTracer*>(this)->impl();
 }
 
-Tracer::ThreadBuffer& Tracer::LocalBuffer() {
-  thread_local TracerThreadHandle handle;
+SpanTracer::ThreadBuffer& SpanTracer::LocalBuffer() {
+  thread_local SpanThreadHandle handle;
   if (handle.buffer.owner == nullptr) {
     Register(&handle.buffer);
   }
   return handle.buffer;
 }
 
-void Tracer::Register(ThreadBuffer* buffer) {
+void SpanTracer::Register(ThreadBuffer* buffer) {
   Impl* i = impl();
   std::lock_guard<std::mutex> lock(i->mu);
-  buffer->ring.resize(i->capacity);
-  buffer->head = 0;
+  buffer->ring.Rebuild(i->capacity);
   buffer->owner = this;
   i->live.push_back(buffer);
 }
 
-void Tracer::Retire(ThreadBuffer* buffer) {
+void SpanTracer::Retire(ThreadBuffer* buffer) {
   Impl* i = impl();
   std::lock_guard<std::mutex> lock(i->mu);
-  i->CollectLocked(buffer, &i->retired);
+  buffer->ring.Drain(&i->retired);
+  i->retired_dropped += buffer->ring.dropped();
   std::erase(i->live, buffer);
   buffer->owner = nullptr;
 }
 
-void Tracer::Emit(Category category, Op op, uint64_t arg0, uint64_t arg1) {
-  ThreadBuffer& buffer = LocalBuffer();
-  if (buffer.ring.empty()) {
-    return;  // capacity 0: tracing effectively off
-  }
-  TraceEvent& slot = buffer.ring[buffer.head % buffer.ring.size()];
-  slot.at = Now();
-  slot.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  slot.category = category;
-  slot.op = op;
-  slot.arg0 = arg0;
-  slot.arg1 = arg1;
-  ++buffer.head;
+void SpanTracer::Emit(SpanRecord record) {
+  record.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  LocalBuffer().ring.Push(record);
 }
 
-std::vector<TraceEvent> Tracer::Drain() {
+void SpanTracer::EmitInstant(Category category, Op op, uint64_t arg0,
+                             uint64_t arg1) {
+  SpanRecord record;
+  record.category = category;
+  record.op = op;
+  record.name = Name(op);
+  record.arg0 = arg0;
+  record.arg1 = arg1;
+#if HYPERALLOC_TRACE
+  const SpanContext& context = ThreadSpanContext();
+  const Span* parent = Span::Current();
+  record.trace_id = context.trace_id;
+  record.parent_id = parent != nullptr ? parent->id() : context.parent_span;
+  record.vm = context.vm;
+  record.begin_vns = context.clock != nullptr ? context.clock->now() : Now();
+#else
+  record.begin_vns = Now();
+#endif
+  record.end_vns = record.begin_vns;
+  Emit(record);
+}
+
+std::vector<SpanRecord> SpanTracer::Drain() {
   Impl* i = impl();
-  std::vector<TraceEvent> out;
+  std::vector<SpanRecord> out;
   {
     std::lock_guard<std::mutex> lock(i->mu);
     out.swap(i->retired);
     for (ThreadBuffer* buffer : i->live) {
-      i->CollectLocked(buffer, &out);
+      buffer->ring.Drain(&out);
     }
   }
   std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              if (a.at != b.at) {
-                return a.at < b.at;
+            [](const SpanRecord& a, const SpanRecord& b) {
+              if (a.begin_vns != b.begin_vns) {
+                return a.begin_vns < b.begin_vns;
               }
               return a.seq < b.seq;
             });
   return out;
 }
 
-uint64_t Tracer::dropped_events() const {
+uint64_t SpanTracer::dropped_spans() const {
   const Impl* i = impl();
   std::lock_guard<std::mutex> lock(i->mu);
-  uint64_t dropped = i->dropped;
+  uint64_t dropped = i->retired_dropped;
   for (const ThreadBuffer* buffer : i->live) {
-    if (buffer->head > buffer->ring.size()) {
-      dropped += buffer->head - buffer->ring.size();
-    }
+    dropped += buffer->ring.dropped();
   }
   return dropped;
 }
 
-void Tracer::SetCapacity(size_t events_per_thread) {
+void SpanTracer::SetCapacity(size_t spans_per_thread) {
   Impl* i = impl();
   std::lock_guard<std::mutex> lock(i->mu);
-  i->capacity = events_per_thread;
+  i->capacity = spans_per_thread;
   for (ThreadBuffer* buffer : i->live) {
-    buffer->ring.assign(events_per_thread, TraceEvent{});
-    buffer->head = 0;
+    buffer->ring.Rebuild(spans_per_thread);
   }
 }
 
-void Tracer::ResetForTest() {
+void SpanTracer::ResetForTest() {
   Impl* i = impl();
   std::lock_guard<std::mutex> lock(i->mu);
   i->retired.clear();
-  i->dropped = 0;
+  i->retired_dropped = 0;
   for (ThreadBuffer* buffer : i->live) {
-    buffer->head = 0;
+    buffer->ring.Rebuild(i->capacity);
   }
   seq_.store(0, std::memory_order_relaxed);
+  next_trace_id_.store(1, std::memory_order_relaxed);
+  next_span_id_.store(1, std::memory_order_relaxed);
 }
 
 }  // namespace hyperalloc::trace

@@ -1,20 +1,23 @@
 // Low-overhead observability: named monotonic counters, bucketed
-// histograms, and a per-thread ring-buffer event tracer.
+// histograms, and the process-wide tracer.
 //
 // The paper's headline results (Figs. 4, 7–11) are operation-count × cost
 // arguments — hypercalls, madvise batches, EPT/IOMMU faults, reclaim-state
 // transitions. This layer makes those per-operation events first-class:
 // every hot path bumps a counter (lock-free, relaxed, cache-line-padded
-// shards) and optionally appends a TraceEvent to its thread's fixed-size
-// ring buffer. A global drain merges all buffers and sorts by virtual
-// time, giving a deterministic, time-ordered trace of a whole run.
+// shards) and optionally records an *instant* (HA_TRACE_EVENT) in the
+// same per-thread ring the causal spans of span.h go to. One drain merges
+// every ring and sorts by virtual time, giving a deterministic,
+// time-ordered trace of a whole run: spans and instants together, each
+// instant parented under the span that was open when it happened.
 //
 // Cost discipline:
 //   * Compile time: building with -DHYPERALLOC_TRACE=0 turns every macro
 //     below into a no-op; nothing is linked into the hot paths.
-//   * Runtime: event emission is additionally gated on Tracer::enabled()
-//     (one relaxed bool load when off). Counters are always live when
-//     compiled in — a relaxed fetch_add on a thread-sharded cache line.
+//   * Runtime: instants are additionally gated on
+//     SpanTracer::events_enabled() (one relaxed bool load when off).
+//     Counters are always live when compiled in — a relaxed fetch_add on
+//     a thread-sharded cache line.
 //
 // Naming scheme (see README.md "Observability"): dotted lowercase
 // "<layer>.<operation>[_<unit>]", e.g. "llfree.get", "balloon.madvise",
@@ -167,9 +170,10 @@ class CounterRegistry {
 };
 
 // ----------------------------------------------------------------------
-// Event tracing
+// Tracing
 // ----------------------------------------------------------------------
 
+// What an instant record (HA_TRACE_EVENT) is about, and what happened.
 enum class Category : uint8_t {
   kLLFree,   // guest page-frame allocator operations
   kGuest,    // guest VM memory accesses (EPT faults, touch)
@@ -218,35 +222,83 @@ enum class Op : uint8_t {
 const char* Name(Category category);
 const char* Name(Op op);
 
-struct TraceEvent {
-  sim::Time at = 0;   // virtual time of the operation
-  uint64_t seq = 0;   // global emission order (total-order tie-break)
-  uint64_t arg0 = 0;  // operation-specific (usually a frame/huge id)
-  uint64_t arg1 = 0;
-  Category category = Category::kLLFree;
-  Op op = Op::kGet;
+// The layer a span accounts to — the tree levels of the de/inflation
+// path (monitor -> backend -> llfree -> ept/iommu -> host pool).
+enum class Layer : uint8_t {
+  kRequest,   // resize-request roots and slices
+  kMonitor,   // HyperAlloc monitor state work (reclaim/return/install)
+  kBackend,   // virtio-balloon / virtio-mem driver + device work
+  kGuest,     // guest-side allocator & migration work
+  kLLFree,    // shared page-frame allocator operations
+  kEpt,        // second-stage unmap/populate (madvise, TLB shootdown)
+  kIommu,      // VFIO pin/unpin + IOTLB flushes
+  kHostPool,   // sharded host frame pool slow paths
+  kTelemetry,  // fleet telemetry markers (SLO burn-rate alerts)
 };
 
-// Process-wide event tracer. Each thread appends to its own fixed-size
-// ring buffer (oldest events are overwritten once full; the overwrite
-// count is reported as "dropped"). Drain() merges every buffer — live and
-// retired — into one list sorted by (virtual time, emission seq).
-//
-// Emission is wait-free per thread; Drain/SetCapacity/Reset must run at
-// quiescence (no concurrent Emit), which is when traces are meaningful
-// anyway.
-class Tracer {
- public:
-  static Tracer& Global();
+const char* Name(Layer layer);
+inline constexpr unsigned kNumLayers = 9;
 
+// One closed span, or an instant record: a zero-length point in time
+// with no span id of its own (an HA_TRACE_EVENT or a telemetry marker).
+// `name` must be a string literal (stored by pointer).
+struct SpanRecord {
+  uint64_t trace_id = 0;
+  uint64_t span_id = 0;    // 0 = instant record
+  uint64_t parent_id = 0;  // 0 = root
+  uint64_t begin_vns = 0;  // virtual clock, ns
+  uint64_t end_vns = 0;
+  uint64_t begin_wall_ns = 0;
+  uint64_t end_wall_ns = 0;
+  uint64_t charge_ns = 0;  // cost-model ns attributed to this span
+  uint64_t frames = 0;     // frames this span operated on
+  // Huge/base split (DESIGN.md §4.14): of `frames`, how many moved as
+  // whole 2 MiB units (counted in base frames, so huge_frames <= frames
+  // and frames - huge_frames is the base-granular remainder).
+  uint64_t huge_frames = 0;
+  uint64_t faults = 0;     // injected faults observed under this span
+  uint64_t retries = 0;    // retries (after backoff) under this span
+  uint64_t seq = 0;        // global emission order (tie-break)
+  uint64_t arg0 = 0;       // instants: operation-specific (usually a frame)
+  uint64_t arg1 = 0;
+  uint32_t vm = 0;
+  Layer layer = Layer::kRequest;
+  Category category = Category::kLLFree;  // instants only
+  Op op = Op::kGet;                       // instants only
+  const char* name = "";
+
+  bool instant() const { return span_id == 0; }
+  uint64_t virtual_ns() const { return end_vns - begin_vns; }
+  uint64_t wall_ns() const { return end_wall_ns - begin_wall_ns; }
+};
+
+// The process-wide tracer: per-thread single-writer rings of SpanRecords
+// (drainable while the writers run — see span_ring.h), a retired list
+// for exited threads, and monotonic trace-/span-id generators. Spans
+// and instants share the rings, the capacity, the drain and the dropped
+// count; each kind has its own switch. Always compiled; the
+// instrumentation (span.h types, HA_TRACE_EVENT) compiles out.
+class SpanTracer {
+ public:
+  static SpanTracer& Global();
+
+  // Records spans (span.h) and telemetry markers.
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void SetEnabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  // Virtual-time source for event timestamps. Events emitted with no
-  // source (e.g. real-time allocator stress tests) are stamped 0 and
-  // ordered by seq. The simulation must outlive emission.
+  // Records HA_TRACE_EVENT instants.
+  bool events_enabled() const {
+    return events_enabled_.load(std::memory_order_relaxed);
+  }
+  void SetEventsEnabled(bool on) {
+    events_enabled_.store(on, std::memory_order_relaxed);
+  }
+
+  // Fallback virtual clock, read only when the thread's SpanContext
+  // carries no clock of its own (single-simulation benches set it; unset,
+  // it reads 0). The simulation must outlive emission.
   void SetTimeSource(const sim::Simulation* sim) {
     time_source_.store(sim, std::memory_order_relaxed);
   }
@@ -256,41 +308,59 @@ class Tracer {
     return sim == nullptr ? 0 : sim->now();
   }
 
-  void Emit(Category category, Op op, uint64_t arg0, uint64_t arg1);
+  uint64_t NewTraceId() {
+    return next_trace_id_.fetch_add(1, std::memory_order_relaxed);
+  }
+  uint64_t NewSpanId() {
+    return next_span_id_.fetch_add(1, std::memory_order_relaxed);
+  }
 
-  // Collects and clears all buffered events, sorted by (at, seq).
-  std::vector<TraceEvent> Drain();
+  // Stamps `record.seq` and appends it to the calling thread's ring.
+  void Emit(SpanRecord record);
 
-  // Events overwritten in full rings since the last reset (cumulative,
-  // surviving Drain so exporters can report truncation).
-  uint64_t dropped_events() const;
+  // Records an instant in the calling thread's SpanContext: its VM, its
+  // trace, its clock (else the fallback clock), parented under the
+  // innermost open span.
+  void EmitInstant(Category category, Op op, uint64_t arg0, uint64_t arg1);
 
-  // Ring capacity (events per thread) for buffers created or reset after
-  // the call; existing buffers are resized and cleared.
-  void SetCapacity(size_t events_per_thread);
+  // Collects every buffered record — live and retired — sorted by
+  // (begin_vns, seq). Safe while writers run (they may keep appending;
+  // a drain only misses records emitted after it started).
+  std::vector<SpanRecord> Drain();
+
+  // Records (spans and instants) dropped on full rings since the last
+  // reset (cumulative, surviving Drain so exporters can report it).
+  uint64_t dropped_spans() const;
+
+  // Ring capacity (records per thread); resizes and clears existing
+  // buffers. Quiescence only.
+  void SetCapacity(size_t spans_per_thread);
 
   void ResetForTest();
 
  private:
-  friend struct TracerThreadHandle;
-  struct ThreadBuffer {
-    std::vector<TraceEvent> ring;
-    uint64_t head = 0;  // total events pushed since last reset
-    Tracer* owner = nullptr;
-  };
+  friend struct SpanThreadHandle;
+  struct ThreadBuffer;
 
-  Tracer() = default;
+  SpanTracer() = default;
   ThreadBuffer& LocalBuffer();
   void Register(ThreadBuffer* buffer);
   void Retire(ThreadBuffer* buffer);
 
   std::atomic<bool> enabled_{false};
+  std::atomic<bool> events_enabled_{false};
   std::atomic<const sim::Simulation*> time_source_{nullptr};
   std::atomic<uint64_t> seq_{0};
+  std::atomic<uint64_t> next_trace_id_{1};
+  std::atomic<uint64_t> next_span_id_{1};
   struct Impl;
   Impl* impl();
   const Impl* impl() const;
 };
+
+// The event tracer's former name; perfbench still sets the fallback
+// clock through it (`Tracer::Global().SetTimeSource`).
+using Tracer = SpanTracer;
 
 }  // namespace hyperalloc::trace
 
@@ -322,10 +392,10 @@ class Tracer {
 
 #define HA_TRACE_EVENT(category, op, arg0, arg1)                             \
   do {                                                                       \
-    ::hyperalloc::trace::Tracer& ha_tracer_ =                                \
-        ::hyperalloc::trace::Tracer::Global();                               \
-    if (ha_tracer_.enabled()) {                                              \
-      ha_tracer_.Emit((category), (op), (arg0), (arg1));                     \
+    ::hyperalloc::trace::SpanTracer& ha_tracer_ =                            \
+        ::hyperalloc::trace::SpanTracer::Global();                           \
+    if (ha_tracer_.events_enabled()) {                                       \
+      ha_tracer_.EmitInstant((category), (op), (arg0), (arg1));              \
     }                                                                        \
   } while (0)
 

@@ -309,16 +309,16 @@ TEST_F(BalloonTest, UnmapFaultEventsStayPerEntry) {
   spec.steps = {0, 100, 101, 102, 103, 255, 256, 9000};
   fault::Injector injector(plan);
   vm_->SetFaultInjector(&injector);
-  trace::Tracer& tracer = trace::Tracer::Global();
+  trace::SpanTracer& tracer = trace::SpanTracer::Global();
   tracer.SetCapacity(1 << 18);
   tracer.ResetForTest();
   tracer.SetTimeSource(sim_.get());
-  tracer.SetEnabled(true);
+  tracer.SetEventsEnabled(true);
   SetLimit(64 * kMiB);
-  tracer.SetEnabled(false);
+  tracer.SetEventsEnabled(false);
   tracer.SetTimeSource(nullptr);
-  const std::vector<trace::TraceEvent> events = tracer.Drain();
-  EXPECT_EQ(tracer.dropped_events(), 0u);
+  const std::vector<trace::SpanRecord> events = tracer.Drain();
+  EXPECT_EQ(tracer.dropped_spans(), 0u);
   tracer.SetCapacity(1 << 16);
   vm_->SetFaultInjector(nullptr);
 
@@ -326,7 +326,7 @@ TEST_F(BalloonTest, UnmapFaultEventsStayPerEntry) {
   uint64_t unmaps = 0;
   uint64_t injected = 0;
   uint64_t entry = ~0ull;  // frame of the latest madvise event
-  for (const trace::TraceEvent& e : events) {
+  for (const trace::SpanRecord& e : events) {
     if (e.category == trace::Category::kBalloon &&
         e.op == trace::Op::kMadvise) {
       ++madvises;
@@ -334,11 +334,11 @@ TEST_F(BalloonTest, UnmapFaultEventsStayPerEntry) {
     } else if (e.category == trace::Category::kEpt &&
                e.op == trace::Op::kUnmap) {
       ++unmaps;
-      ASSERT_EQ(e.arg0, entry) << "unmap at " << e.at;
+      ASSERT_EQ(e.arg0, entry) << "unmap at " << e.begin_vns;
     } else if (e.category == trace::Category::kFault &&
                e.op == trace::Op::kInject) {
       ++injected;
-      ASSERT_EQ(e.arg0, entry) << "fault at " << e.at;
+      ASSERT_EQ(e.arg0, entry) << "fault at " << e.begin_vns;
     }
   }
   EXPECT_EQ(madvises, balloon_->total_madvise_calls());

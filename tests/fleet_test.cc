@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "src/core/hyperalloc.h"
@@ -20,6 +21,7 @@
 #include "src/fleet/fleet.h"
 #include "src/fleet/policy.h"
 #include "src/guest/guest_vm.h"
+#include "src/trace/trace.h"
 #include "src/workloads/memory_pool.h"
 
 namespace hyperalloc::fleet {
@@ -242,6 +244,72 @@ TEST(FleetTelemetry, DigestsByteIdenticalAcross1And4And16Threads) {
       EXPECT_EQ(one.telemetry.dumps[i].perfetto,
                 many.telemetry.dumps[i].perfetto);
     }
+  }
+#endif  // HYPERALLOC_TRACE
+}
+
+// ---------------------------------------------------------------------
+// Instant records: every event a fleet VM emits carries that VM's id and
+// is stamped from that VM's own simulation (no process-global clock), so
+// each VM's event stream is a pure function of virtual time.
+// ---------------------------------------------------------------------
+
+#if HYPERALLOC_TRACE
+// The virtual fields of one instant record.
+using Instant =
+    std::tuple<uint64_t, trace::Category, trace::Op, uint64_t, uint64_t>;
+
+// Each VM's instant records in emission order, from a small fleet run
+// with instant recording on (and spans off).
+std::vector<std::vector<Instant>> RunEventFleet(unsigned threads,
+                                                uint64_t vms) {
+  trace::SpanTracer& tracer = trace::SpanTracer::Global();
+  tracer.SetCapacity(1 << 19);
+  tracer.ResetForTest();
+  tracer.SetEventsEnabled(true);
+  const FleetResult result = RunDeterminismFleet(threads, vms);
+  tracer.SetEventsEnabled(false);
+  std::vector<trace::SpanRecord> records = tracer.Drain();
+  EXPECT_EQ(tracer.dropped_spans(), 0u);
+  tracer.SetCapacity(1 << 16);
+  EXPECT_GT(result.slo.resizes, 0u);
+
+  std::sort(records.begin(), records.end(),
+            [](const trace::SpanRecord& a, const trace::SpanRecord& b) {
+              return a.seq < b.seq;
+            });
+  std::vector<std::vector<Instant>> per_vm(vms);
+  for (const trace::SpanRecord& r : records) {
+    EXPECT_TRUE(r.instant());
+    EXPECT_LT(r.vm, vms);
+    if (r.vm < vms) {
+      per_vm[r.vm].emplace_back(r.begin_vns, r.category, r.op, r.arg0,
+                                r.arg1);
+    }
+  }
+  return per_vm;
+}
+#endif  // HYPERALLOC_TRACE
+
+TEST(FleetEvents, PerVmClockAndStreamIdenticalAcross1And4Threads) {
+#if !HYPERALLOC_TRACE
+  GTEST_SKIP() << "events compiled out (HYPERALLOC_TRACE=0)";
+#else
+  const uint64_t kVms = 8;
+  const std::vector<std::vector<Instant>> one = RunEventFleet(1, kVms);
+  const std::vector<std::vector<Instant>> four = RunEventFleet(4, kVms);
+  for (uint64_t vm = 0; vm < kVms; ++vm) {
+    // A VM boots and first installs at its own t = 0; from then on its
+    // clock only moves forward, and its run takes it past the first
+    // epoch — a stream stamped from an unset global clock reads 0.
+    ASSERT_FALSE(one[vm].empty()) << "VM " << vm << " recorded no events";
+    for (size_t i = 1; i < one[vm].size(); ++i) {
+      ASSERT_LE(std::get<0>(one[vm][i - 1]), std::get<0>(one[vm][i]))
+          << "VM " << vm << " event " << i << " went back in time";
+    }
+    EXPECT_GE(std::get<0>(one[vm].back()), 5 * sim::kSec) << "VM " << vm;
+    EXPECT_TRUE(one[vm] == four[vm])
+        << "VM " << vm << " event stream diverged at 4 threads";
   }
 #endif  // HYPERALLOC_TRACE
 }

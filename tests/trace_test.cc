@@ -1,7 +1,6 @@
 // Tests for the observability layer: lock-free counter/histogram registry
-// (correctness under concurrent writers) and the per-thread ring-buffer
-// event tracer (virtual-time ordering, overflow, thread-exit retirement,
-// exporters).
+// (correctness under concurrent writers) and the tracer's instant records
+// (virtual-time ordering, thread-exit retirement, exporters).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,6 +11,7 @@
 #include "src/hv/cost_model.h"
 #include "src/sim/simulation.h"
 #include "src/trace/export.h"
+#include "src/trace/span.h"
 #include "src/trace/trace.h"
 
 namespace hyperalloc::trace {
@@ -36,16 +36,18 @@ class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     CounterRegistry::Global().ResetForTest();
-    Tracer::Global().ResetForTest();
-    Tracer::Global().SetEnabled(false);
-    Tracer::Global().SetTimeSource(nullptr);
+    SpanTracer::Global().ResetForTest();
+    SpanTracer::Global().SetEnabled(false);
+    SpanTracer::Global().SetEventsEnabled(false);
+    SpanTracer::Global().SetTimeSource(nullptr);
   }
 
   void TearDown() override {
-    Tracer::Global().SetEnabled(false);
-    Tracer::Global().SetTimeSource(nullptr);
-    Tracer::Global().SetCapacity(kDefaultCapacity);
-    Tracer::Global().Drain();
+    SpanTracer::Global().SetEnabled(false);
+    SpanTracer::Global().SetEventsEnabled(false);
+    SpanTracer::Global().SetTimeSource(nullptr);
+    SpanTracer::Global().SetCapacity(kDefaultCapacity);
+    SpanTracer::Global().Drain();
   }
 };
 
@@ -140,28 +142,28 @@ TEST_F(TraceTest, MacroDeltaAndHistogram) {
 
 TEST_F(TraceTest, EventsOrderedByVirtualTime) {
   sim::Simulation sim;
-  Tracer& tracer = Tracer::Global();
+  SpanTracer& tracer = SpanTracer::Global();
   tracer.SetTimeSource(&sim);
-  tracer.SetEnabled(true);
-  tracer.Emit(Category::kLLFree, Op::kGet, 10, 0);
-  tracer.Emit(Category::kLLFree, Op::kPut, 10, 0);  // same time, later seq
+  tracer.SetEventsEnabled(true);
+  tracer.EmitInstant(Category::kLLFree, Op::kGet, 10, 0);
+  tracer.EmitInstant(Category::kLLFree, Op::kPut, 10, 0);  // same time
   sim.AdvanceClock(500);
-  tracer.Emit(Category::kMonitor, Op::kReclaimHard, 3, 1);
+  tracer.EmitInstant(Category::kMonitor, Op::kReclaimHard, 3, 1);
   sim.AdvanceClock(500);
-  tracer.Emit(Category::kEpt, Op::kUnmap, 7, 512);
+  tracer.EmitInstant(Category::kEpt, Op::kUnmap, 7, 512);
 
-  const std::vector<TraceEvent> events = tracer.Drain();
+  const std::vector<SpanRecord> events = tracer.Drain();
   ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].at, 0u);
+  EXPECT_EQ(events[0].begin_vns, 0u);
   EXPECT_EQ(events[0].op, Op::kGet);
   EXPECT_EQ(events[1].op, Op::kPut);  // seq breaks the t=0 tie
-  EXPECT_EQ(events[2].at, 500u);
+  EXPECT_EQ(events[2].begin_vns, 500u);
   EXPECT_EQ(events[2].category, Category::kMonitor);
-  EXPECT_EQ(events[3].at, 1000u);
+  EXPECT_EQ(events[3].begin_vns, 1000u);
   EXPECT_EQ(events[3].arg0, 7u);
   EXPECT_EQ(events[3].arg1, 512u);
   for (size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].at, events[i].at);
+    EXPECT_LE(events[i - 1].begin_vns, events[i].begin_vns);
     EXPECT_LT(events[i - 1].seq, events[i].seq);
   }
   EXPECT_STREQ(Name(events[3].category), "ept");
@@ -171,20 +173,20 @@ TEST_F(TraceTest, EventsOrderedByVirtualTime) {
 TEST_F(TraceTest, SeqGivesTotalOrderAcrossThreads) {
   constexpr unsigned kThreads = 8;
   constexpr uint64_t kPerThread = 1000;
-  Tracer& tracer = Tracer::Global();
-  tracer.SetEnabled(true);  // no time source: all events at t=0
+  SpanTracer& tracer = SpanTracer::Global();
+  tracer.SetEventsEnabled(true);  // no time source: all events at t=0
   std::vector<std::thread> threads;
   for (unsigned t = 0; t < kThreads; ++t) {
     threads.emplace_back([&tracer, t] {
       for (uint64_t i = 0; i < kPerThread; ++i) {
-        tracer.Emit(Category::kLLFree, Op::kGet, t, i);
+        tracer.EmitInstant(Category::kLLFree, Op::kGet, t, i);
       }
     });
   }
   for (std::thread& t : threads) {
     t.join();
   }
-  const std::vector<TraceEvent> events = tracer.Drain();
+  const std::vector<SpanRecord> events = tracer.Drain();
   ASSERT_EQ(events.size(), kThreads * kPerThread);
   // The global seq is a total order; the drain must respect it, and each
   // thread's own events must appear in emission order within it.
@@ -197,43 +199,27 @@ TEST_F(TraceTest, SeqGivesTotalOrderAcrossThreads) {
     ASSERT_LT(thread, kThreads);
     EXPECT_EQ(events[i].arg1, next[thread]++);
   }
-  EXPECT_EQ(tracer.dropped_events(), 0u);
-}
-
-TEST_F(TraceTest, RingOverflowKeepsNewestEvents) {
-  Tracer& tracer = Tracer::Global();
-  tracer.SetCapacity(16);
-  tracer.SetEnabled(true);
-  for (uint64_t i = 0; i < 40; ++i) {
-    tracer.Emit(Category::kGuest, Op::kFault4k, i, 0);
-  }
-  EXPECT_EQ(tracer.dropped_events(), 24u);
-  const std::vector<TraceEvent> events = tracer.Drain();
-  ASSERT_EQ(events.size(), 16u);
-  for (uint64_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(events[i].arg0, 24 + i);  // oldest overwritten, newest kept
-  }
-  EXPECT_EQ(tracer.dropped_events(), 24u);  // survives the drain
+  EXPECT_EQ(tracer.dropped_spans(), 0u);
 }
 
 TEST_F(TraceTest, ThreadExitRetiresBufferedEvents) {
-  Tracer& tracer = Tracer::Global();
-  tracer.SetEnabled(true);
+  SpanTracer& tracer = SpanTracer::Global();
+  tracer.SetEventsEnabled(true);
   std::thread worker([&tracer] {
     for (uint64_t i = 0; i < 5; ++i) {
-      tracer.Emit(Category::kBalloon, Op::kInflate, i, 0);
+      tracer.EmitInstant(Category::kBalloon, Op::kInflate, i, 0);
     }
   });
   worker.join();  // thread gone; its events moved to the retired list
-  const std::vector<TraceEvent> events = tracer.Drain();
+  const std::vector<SpanRecord> events = tracer.Drain();
   ASSERT_EQ(events.size(), 5u);
   EXPECT_EQ(events[4].arg0, 4u);
 }
 
 TEST_F(TraceTest, DisabledTracerEmitsNothing) {
-  EXPECT_FALSE(Tracer::Global().enabled());
+  EXPECT_FALSE(SpanTracer::Global().events_enabled());
   HA_TRACE_EVENT(Category::kLLFree, Op::kGet, 1, 2);
-  EXPECT_TRUE(Tracer::Global().Drain().empty());
+  EXPECT_TRUE(SpanTracer::Global().Drain().empty());
 #if HYPERALLOC_TRACE
   // Counters stay live even while event tracing is off.
   HA_COUNT("test.while_disabled");
@@ -255,20 +241,20 @@ TEST_F(TraceTest, ChargeTracedAdvancesClockAndRecords) {
 
 TEST_F(TraceTest, JsonExportHoldsCountersHistogramsAndEvents) {
   sim::Simulation sim;
-  Tracer& tracer = Tracer::Global();
+  SpanTracer& tracer = SpanTracer::Global();
   tracer.SetTimeSource(&sim);
-  tracer.SetEnabled(true);
+  tracer.SetEventsEnabled(true);
   CounterRegistry::Global().FindOrCreate("test.json_counter").Add(42);
   CounterRegistry::Global().FindOrCreateHistogram("test.json_hist").Record(8);
   sim.AdvanceClock(123);
-  tracer.Emit(Category::kMonitor, Op::kMadvise, 5, 2);
+  tracer.EmitInstant(Category::kMonitor, Op::kMadvise, 5, 2);
 
   const std::string path = ::testing::TempDir() + "/trace_test.json";
-  WriteJson(path);
+  WriteTraceArtifact(path);
   const std::string json = ReadFile(path);
   EXPECT_NE(json.find("\"test.json_counter\": 42"), std::string::npos) << json;
   EXPECT_NE(json.find("\"test.json_hist\""), std::string::npos);
-  EXPECT_NE(json.find("\"dropped_events\": 0"), std::string::npos);
+  EXPECT_NE(json.find("\"dropped_spans\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"monitor\""), std::string::npos);
   EXPECT_NE(json.find("\"madvise\""), std::string::npos);
   EXPECT_NE(json.find("[123,\"monitor\",\"madvise\",5,2]"), std::string::npos)
@@ -277,10 +263,10 @@ TEST_F(TraceTest, JsonExportHoldsCountersHistogramsAndEvents) {
 }
 
 TEST_F(TraceTest, CsvArtifactWritesEventsAndCounters) {
-  Tracer& tracer = Tracer::Global();
-  tracer.SetEnabled(true);
+  SpanTracer& tracer = SpanTracer::Global();
+  tracer.SetEventsEnabled(true);
   CounterRegistry::Global().FindOrCreate("test.csv_counter").Add(1);
-  tracer.Emit(Category::kIommu, Op::kIotlbFlush, 9, 0);
+  tracer.EmitInstant(Category::kIommu, Op::kIotlbFlush, 9, 0);
 
   const std::string path = ::testing::TempDir() + "/trace_test.csv";
   WriteTraceArtifact(path);
@@ -291,6 +277,48 @@ TEST_F(TraceTest, CsvArtifactWritesEventsAndCounters) {
   const std::string counters_csv = ReadFile(path + ".counters.csv");
   EXPECT_NE(counters_csv.find("test.csv_counter,1"), std::string::npos);
 }
+
+#if HYPERALLOC_TRACE
+// One drain feeds every file of the artifact set: the JSON document holds
+// the span as well as the instant recorded under it, and Perfetto shows
+// both.
+TEST_F(TraceTest, JsonArtifactHoldsSpansAndEvents) {
+  sim::Simulation sim;
+  SpanTracer& tracer = SpanTracer::Global();
+  tracer.SetTimeSource(&sim);
+  tracer.SetEnabled(true);
+  tracer.SetEventsEnabled(true);
+  uint64_t span_id = 0;
+  {
+    ScopedRoot root;
+    Span span(Layer::kEpt, "ept.unmap_run");
+    span_id = span.id();
+    sim.AdvanceClock(40);
+    HA_TRACE_EVENT(Category::kEpt, Op::kUnmap, 7, 1);
+    sim.AdvanceClock(60);
+  }
+
+  const std::string path = ::testing::TempDir() + "/trace_test_both.json";
+  WriteTraceArtifact(path);
+  const std::string json = ReadFile(path);
+  EXPECT_NE(json.find("\"ept.unmap_run\",0,100,"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("[40,\"ept\",\"unmap\",7,1]"), std::string::npos)
+      << json;
+  const std::string spans_csv = ReadFile(path + ".spans.csv");
+  EXPECT_NE(spans_csv.find(",ept,ept.unmap_run,0,100,"), std::string::npos)
+      << spans_csv;
+  EXPECT_NE(spans_csv.find(",0," + std::to_string(span_id) +
+                           ",0,ept,unmap,40,40,"),
+            std::string::npos)
+      << spans_csv;
+  const std::string perfetto = ReadFile(path + ".perfetto.json");
+  EXPECT_NE(perfetto.find("\"ph\":\"X\""), std::string::npos) << perfetto;
+  EXPECT_NE(perfetto.find("\"name\":\"unmap\",\"cat\":\"ept\",\"ph\":\"i\""),
+            std::string::npos)
+      << perfetto;
+}
+#endif  // HYPERALLOC_TRACE
 
 // Regression: "a.b" and "a_b" both mangle to "hyperalloc_a_b"; without
 // disambiguation one sample silently overwrites the other in the

@@ -1,6 +1,7 @@
 // ha_trace_tool — offline analysis of span traces (the .spans.csv files
 // written by bench binaries via --trace-out, format: src/trace/export.h
-// WriteSpansCsv).
+// WriteSpansCsv). Instant records (span_id 0: HA_TRACE_EVENT operations
+// and telemetry markers) are counted apart from the timed spans.
 //
 //   ha_trace_tool SPANS.csv          per-layer latency breakdown,
 //                                    p50/p95/p99 per span name, and the
@@ -114,10 +115,7 @@ bool Load(const std::string& path, std::vector<Row>* rows) {
   return true;
 }
 
-// Layers the span pipeline can emit (src/trace/span.cc Name(Layer)).
-// "telemetry" rows are zero-length event markers (alerts, flight dumps)
-// from the fleet telemetry pipeline, not timed spans — they are split
-// out of the latency/critical-path analysis and reported separately.
+// Layers spans can account to (src/trace/trace.cc Name(Layer)).
 bool KnownSpanLayer(const std::string& layer) {
   static const char* const kLayers[] = {"request", "monitor", "backend",
                                         "guest",   "llfree",  "ept",
@@ -130,16 +128,18 @@ bool KnownSpanLayer(const std::string& layer) {
   return false;
 }
 
-// Splits `rows` into timed spans and telemetry event markers. Rows with
-// a layer this tool does not know are kept in the span analysis (their
-// timing columns are still valid) but warned about ONCE with a final
-// count, instead of being silently folded in.
-void SplitTelemetry(const std::vector<Row>& rows, std::vector<Row>* spans,
-                    std::vector<Row>* events, uint64_t* unknown) {
+// Splits `rows` into timed spans and instant records (span_id 0), which
+// are points in time, not timed work: they stay out of the latency,
+// attribution and critical-path analysis and are counted separately.
+// Spans with a layer this tool does not know are kept in the span
+// analysis (their timing columns are still valid) but warned about ONCE
+// with a final count, instead of being silently folded in.
+void SplitInstants(const std::vector<Row>& rows, std::vector<Row>* spans,
+                   std::vector<Row>* instants, uint64_t* unknown) {
   bool warned = false;
   for (const Row& row : rows) {
-    if (row.layer == "telemetry") {
-      events->push_back(row);
+    if (row.span_id == 0) {
+      instants->push_back(row);
       continue;
     }
     if (!KnownSpanLayer(row.layer)) {
@@ -157,15 +157,17 @@ void SplitTelemetry(const std::vector<Row>& rows, std::vector<Row>* spans,
   }
 }
 
-void PrintTelemetryEvents(const std::vector<Row>& events, uint64_t unknown) {
-  if (!events.empty()) {
-    std::map<std::string, uint64_t> by_name;
-    for (const Row& row : events) {
-      ++by_name[row.name];
+void PrintInstants(const std::vector<Row>& instants, uint64_t unknown) {
+  if (!instants.empty()) {
+    std::map<std::pair<std::string, std::string>, uint64_t> by_name;
+    for (const Row& row : instants) {
+      ++by_name[{row.layer, row.name}];
     }
-    std::printf("Telemetry events (markers, excluded from latency stats):\n");
-    for (const auto& [name, count] : by_name) {
-      std::printf("  %-26s %10" PRIu64 "\n", name.c_str(), count);
+    std::printf("Instant records (excluded from latency stats):\n");
+    std::printf("  %-10s %-30s %10s\n", "category", "name", "count");
+    for (const auto& [key, count] : by_name) {
+      std::printf("  %-10s %-30s %10" PRIu64 "\n", key.first.c_str(),
+                  key.second.c_str(), count);
     }
     std::printf("\n");
   }
@@ -338,16 +340,16 @@ int Report(const std::string& path) {
     return 1;
   }
   std::vector<Row> spans;
-  std::vector<Row> events;
+  std::vector<Row> instants;
   uint64_t unknown = 0;
-  SplitTelemetry(rows, &spans, &events, &unknown);
-  std::printf("%s: %zu spans, %zu telemetry events\n\n", path.c_str(),
-              spans.size(), events.size());
+  SplitInstants(rows, &spans, &instants, &unknown);
+  std::printf("%s: %zu spans, %zu instant records\n\n", path.c_str(),
+              spans.size(), instants.size());
   PrintLayerBreakdown(spans);
   PrintPercentiles(spans);
   PrintHugeShare(spans);
   PrintFaults(spans);
-  PrintTelemetryEvents(events, unknown);
+  PrintInstants(instants, unknown);
   PrintCriticalPath(spans);
   return 0;
 }
@@ -360,14 +362,14 @@ int Diff(const std::string& path_a, const std::string& path_b) {
   }
   std::vector<Row> a;
   std::vector<Row> b;
-  std::vector<Row> events_a;
-  std::vector<Row> events_b;
+  std::vector<Row> instants_a;
+  std::vector<Row> instants_b;
   uint64_t unknown = 0;
-  SplitTelemetry(rows_a, &a, &events_a, &unknown);
-  SplitTelemetry(rows_b, &b, &events_b, &unknown);
-  if (!events_a.empty() || !events_b.empty()) {
-    std::printf("Telemetry events: %zu -> %zu (excluded from attribution)\n",
-                events_a.size(), events_b.size());
+  SplitInstants(rows_a, &a, &instants_a, &unknown);
+  SplitInstants(rows_b, &b, &instants_b, &unknown);
+  if (!instants_a.empty() || !instants_b.empty()) {
+    std::printf("Instant records: %zu -> %zu (excluded from attribution)\n",
+                instants_a.size(), instants_b.size());
   }
   const std::map<std::string, uint64_t> layers_a = LayerChargeNs(a);
   const std::map<std::string, uint64_t> layers_b = LayerChargeNs(b);
@@ -485,9 +487,10 @@ int SelfCheck() {
   }
   SELF_CHECK(charged == rows[0].virtual_ns());
 
-  // Telemetry markers are split out of the span analysis; unknown
-  // layers are counted (and kept) rather than silently folded in.
-  r.span_id = 4;
+  // Instant records — telemetry markers and operation events, span_id 0
+  // — are split out of the span analysis; unknown layers are counted
+  // (and kept) rather than silently folded in.
+  r.span_id = 0;
   r.parent_id = 0;
   r.layer = "telemetry";
   r.name = "telemetry.alert.latency_burn";
@@ -495,17 +498,28 @@ int SelfCheck() {
   r.end_vns = 500;
   r.charge_ns = 0;
   rows.push_back(r);
+  r.parent_id = 3;
+  r.layer = "ept";
+  r.name = "unmap";
+  r.begin_vns = 700;
+  r.end_vns = 700;
+  rows.push_back(r);
   r.span_id = 5;
+  r.parent_id = 0;
   r.layer = "mystery";
   r.name = "mystery.op";
   rows.push_back(r);
+  SELF_CHECK(ParseRow("1,0,3,0,ept,unmap,700,700,0,0,0,0,0,0,0", &row));
+  SELF_CHECK(row.span_id == 0 && row.parent_id == 3);
   std::vector<Row> spans;
-  std::vector<Row> events;
+  std::vector<Row> instants;
   uint64_t unknown = 0;
-  SplitTelemetry(rows, &spans, &events, &unknown);
-  SELF_CHECK(spans.size() == 4 && events.size() == 1 && unknown == 1);
-  SELF_CHECK(events[0].name == "telemetry.alert.latency_burn");
+  SplitInstants(rows, &spans, &instants, &unknown);
+  SELF_CHECK(spans.size() == 4 && instants.size() == 2 && unknown == 1);
+  SELF_CHECK(instants[0].name == "telemetry.alert.latency_burn");
+  SELF_CHECK(instants[1].layer == "ept" && instants[1].name == "unmap");
   SELF_CHECK(LayerChargeNs(spans).count("telemetry") == 0);
+  SELF_CHECK(LayerChargeNs(spans).at("ept") == 600);
 
   std::printf("ha_trace_tool: self-check OK\n");
   return 0;
