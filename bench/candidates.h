@@ -48,13 +48,13 @@ struct SetupOptions {
   unsigned vcpus = 12;
   uint64_t host_bytes = 64 * kGiB;
   // virtio-balloon free-page-reporting knobs (Fig. 7 sweep).
-  balloon::BalloonConfig balloon;
-  vmem::VmemConfig vmem;
-  core::HyperAllocConfig hyperalloc;
+  balloon::BalloonConfig balloon{};
+  vmem::VmemConfig vmem{};
+  core::HyperAllocConfig hyperalloc{};
   // Deterministic fault injection (DESIGN.md §4.9). An enabled plan is
   // armed on the VM *after* boot-time population, so VM construction
   // itself never faults.
-  fault::Plan fault_plan;
+  fault::Plan fault_plan{};
 };
 
 struct Setup {

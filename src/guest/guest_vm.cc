@@ -1,6 +1,7 @@
 #include "src/guest/guest_vm.h"
 
 #include <algorithm>
+#include <array>
 #include <span>
 
 #include "src/base/check.h"
@@ -262,21 +263,60 @@ unsigned GuestVm::AllocBatch(unsigned order, unsigned count, AllocType type,
       }
     }
   }
-  // Remainder. Buddy zones run trains while every per-frame watermark
-  // call would only count down; a frame whose call could resync or
-  // reclaim, a frame the buddy zones cannot serve, and every LLFree-zone
-  // remainder take a single Alloc with its pressure paths (direct
-  // reclaim, cache purge, deflate-on-OOM).
+  // Remainder, as single Allocs would claim it: buddy trains between
+  // watermark events, LLFree-zone frames parked in the per-vCPU cache,
+  // and single Allocs with their pressure paths (direct reclaim, cache
+  // purge, deflate-on-OOM) for everything else.
+  return got + AllocRuns(order, count - got, type, core, allow_oom_notify,
+                         /*touch=*/false, out);
+}
+
+unsigned GuestVm::AllocTouch(unsigned order, unsigned count, AllocType type,
+                             unsigned core, std::vector<FrameId>* out) {
+  HA_CHECK(out != nullptr);
+  return AllocRuns(order, count, type, core, /*allow_oom_notify=*/true,
+                   /*touch=*/true, out);
+}
+
+unsigned GuestVm::AllocRuns(unsigned order, unsigned count, AllocType type,
+                            unsigned core, bool allow_oom_notify, bool touch,
+                            std::vector<FrameId>* out) {
+  // Only host pressure (swap, which attaches the fault surcharge) can
+  // unmap frames and only the monitor's aging pass, an event, can cool
+  // them, so without a surcharge a memo stays true for the whole call.
+  TouchMemo memo;
+  TouchMemo* const touch_memo = fault_surcharge_ ? nullptr : &memo;
+  const auto claimed = [&](FrameId frame) {
+    if (touch) {
+      TouchRun(frame, 1ull << order, touch_memo);
+    }
+    if (out != nullptr) {
+      out->push_back(frame);
+    } else {
+      cache_frames_.push_back(frame);
+      in_cache_[frame] = true;
+      ++cache_count_;
+    }
+  };
+  std::vector<FrameId> train;
+  unsigned got = 0;
   while (got < count) {
-    const uint64_t quiet = config_.allocator == AllocatorKind::kBuddy
-                               ? QuietWatermarkCalls(order)
-                               : 0;
+    const uint64_t quiet = QuietWatermarkCalls(order, out == nullptr);
     if (quiet > 0) {
       const unsigned want =
           static_cast<unsigned>(std::min<uint64_t>(quiet, count - got));
-      const unsigned train = BuddyTrain(order, want, type, core, out);
-      got += train;
-      if (train == want) {
+      train.clear();
+      const unsigned claimed_runs = Train(order, want, type, core, &train);
+      // Each frame's watermark call only counted down; then its
+      // bookkeeping (which may install through the aux bridge) and its
+      // touch, in allocation order.
+      for (const FrameId frame : train) {
+        --watermark_resync_countdown_;
+        RecordAlloc(frame, order, type);
+        claimed(frame);
+      }
+      got += claimed_runs;
+      if (claimed_runs == want) {
         continue;
       }
     }
@@ -284,18 +324,18 @@ unsigned GuestVm::AllocBatch(unsigned order, unsigned count, AllocType type,
     if (!r.ok()) {
       break;
     }
-    out->push_back(*r);
+    claimed(*r);
     ++got;
   }
   return got;
 }
 
-uint64_t GuestVm::QuietWatermarkCalls(unsigned order) const {
+uint64_t GuestVm::QuietWatermarkCalls(unsigned order, bool cache_grows) const {
   // Call j of a train sees the countdown at c - j and the estimate at
   // approx - j * 2^order: it resyncs at c - j == 0 and may reclaim once
   // the estimate is below the watermark while page cache exists.
   uint64_t calls = watermark_resync_countdown_;
-  if (!cache_frames_.empty()) {
+  if (!cache_frames_.empty() || cache_grows) {
     const uint64_t low = LowWatermark();
     if (approx_free_frames_ < low) {
       return 0;
@@ -306,15 +346,40 @@ uint64_t GuestVm::QuietWatermarkCalls(unsigned order) const {
   return calls;
 }
 
-unsigned GuestVm::BuddyTrain(unsigned order, unsigned count, AllocType type,
-                             unsigned core, std::vector<FrameId>* out) {
-  // Zone preference as in AllocFromZones: a zone that fails one frame
-  // fails the rest, since nothing is freed during the train.
+unsigned GuestVm::Train(unsigned order, unsigned count, AllocType type,
+                        unsigned core, std::vector<FrameId>* out) {
   const size_t first = out->size();
   unsigned got = 0;
+  if (config_.allocator == AllocatorKind::kLLFree) {
+    // Only cache hits: a refill may claim from an evicted area and call
+    // the monitor's blocking Install, which advances the clock, so it
+    // stays a single Alloc; huge and unmovable allocations bypass the
+    // cache. The first preferred zone serves every hit.
+    if (order != 0 || type != AllocType::kMovable) {
+      return 0;
+    }
+    for (const ZoneKind kind : ZonePreference(type)) {
+      for (Zone& zone : zones_) {
+        if (zone.kind != kind) {
+          continue;
+        }
+        if (zone.llfree_cache != nullptr) {
+          got = zone.llfree_cache->Pop(core, count, out);
+          for (size_t i = first; i < out->size(); ++i) {
+            (*out)[i] += zone.start;
+          }
+        }
+        return got;
+      }
+    }
+    return 0;
+  }
+  // Buddy zones in preference order, as in AllocFromZones: a zone that
+  // fails one frame fails the rest, since nothing is freed during the
+  // train.
   for (const ZoneKind kind : ZonePreference(type)) {
     for (Zone& zone : zones_) {
-      if (zone.kind != kind || zone.buddy == nullptr || got == count) {
+      if (zone.kind != kind || got == count) {
         continue;
       }
       const size_t before = out->size();
@@ -323,12 +388,6 @@ unsigned GuestVm::BuddyTrain(unsigned order, unsigned count, AllocType type,
         (*out)[i] += zone.start;
       }
     }
-  }
-  // Each frame's watermark call only counted down; then its bookkeeping,
-  // in allocation order.
-  watermark_resync_countdown_ -= got;
-  for (size_t i = first; i < out->size(); ++i) {
-    RecordAlloc((*out)[i], order, type);
   }
   return got;
 }
@@ -369,6 +428,37 @@ void GuestVm::FreeBatch(std::span<const FrameId> frames, unsigned order,
     }
     const unsigned freed = zones_[zi].llfree->PutBatch(buckets[zi], order);
     HA_CHECK(freed == buckets[zi].size());
+  }
+}
+
+void GuestVm::FreeEach(std::span<const FrameId> frames, unsigned order,
+                       unsigned core) {
+  size_t i = 0;
+  while (i < frames.size()) {
+    HA_CHECK(frames[i] < total_frames_);
+    Zone& zone = ZoneOf(frames[i]);
+    if (order == 0 && zone.llfree_cache != nullptr) {
+      // A run of order-0 movable frees into this zone, in pieces of up
+      // to 64: each frame's bookkeeping, then the piece enters the cache
+      // as that many Puts would (LLFree zones keep no aux state).
+      std::array<FrameId, 64> run{};
+      size_t n = 0;
+      for (; n < run.size() && i < frames.size() &&
+             zone.Contains(frames[i]) && alloc_order_[frames[i]] == 1;
+           ++i) {
+        alloc_order_[frames[i]] = 0;
+        run[n++] = frames[i] - zone.start;
+      }
+      if (n > 0) {
+        approx_free_frames_ += n;
+        const auto err = zone.llfree_cache->PutRun(
+            core, std::span<const FrameId>(run.data(), n));
+        HA_CHECK(!err.has_value());
+        continue;
+      }
+    }
+    Free(frames[i], order, core);
+    ++i;
   }
 }
 
@@ -450,7 +540,18 @@ bool GuestVm::PopulateFrames(FrameId first, uint64_t count) {
 }
 
 void GuestVm::Touch(FrameId first, uint64_t count) {
+  TouchRun(first, count, nullptr);
+}
+
+void GuestVm::TouchRun(FrameId first, uint64_t count, TouchMemo* memo) {
   HA_CHECK(first + count <= total_frames_);
+  if (memo != nullptr && first >= memo->begin && first + count <= memo->end) {
+    // Mapped and already hot: only the write itself.
+    const sim::Time cost = count * costs_.touch_4k_ns;
+    fault_time_ += cost;
+    sim_->AdvanceClock(cost);
+    return;
+  }
   const sim::Time start = sim_->now();
   sim::Time cost = 0;
   uint64_t populated_bytes = 0;
@@ -467,18 +568,19 @@ void GuestVm::Touch(FrameId first, uint64_t count) {
 
     const uint64_t mapped_in_huge =
         ept_.CountMapped(huge_base, huge_end - huge_base);
+    bool fully_mapped = mapped_in_huge == huge_end - huge_base;
     if (mapped_in_huge == 0) {
       // THP-style population: first touch of a fully unmapped huge frame
       // backs the entire 2 MiB region (one EPT fault, one host huge page).
       const uint64_t huge_frames = huge_end - huge_base;
-      PopulateFrames(huge_base, huge_frames);
+      fully_mapped = PopulateFrames(huge_base, huge_frames);
       ++ept_faults_2m_;
       HA_COUNT("guest.ept_fault_2m");
       HA_TRACE_EVENT(trace::Category::kGuest, trace::Op::kFault2m, huge_base,
                      huge_frames);
       cost += costs_.ept_fault_2m_ns + huge_frames * costs_.populate_4k_ns;
       populated_bytes += huge_frames * kFrameSize;
-    } else if (mapped_in_huge < huge_end - huge_base) {
+    } else if (!fully_mapped) {
       // Partially backed huge frame: missing 4 KiB pages fault
       // individually.
       const uint64_t missing = chunk - ept_.CountMapped(frame, chunk);
@@ -498,11 +600,14 @@ void GuestVm::Touch(FrameId first, uint64_t count) {
     cost += chunk * costs_.touch_4k_ns;  // the write itself (17 GiB/s)
     // Expose the access to the hypervisor via the shared hotness hint
     // (6): one relaxed check + rare CAS per 2 MiB of traffic.
-    {
-      Zone& zone = ZoneOf(frame);
-      if (zone.llfree != nullptr) {
-        zone.llfree->MarkHot(FrameToHuge(frame - zone.start));
-      }
+    Zone& zone = ZoneOf(frame);
+    if (zone.llfree != nullptr) {
+      zone.llfree->MarkHot(FrameToHuge(frame - zone.start));
+    }
+    if (memo != nullptr) {
+      *memo = fully_mapped ? TouchMemo{std::max(huge_base, zone.start),
+                                       std::min(huge_end, zone.end())}
+                           : TouchMemo{};
     }
     frame = chunk_end;
   }
@@ -536,21 +641,15 @@ bool GuestVm::DmaWrite(FrameId first, uint64_t count) {
 }
 
 void GuestVm::CacheAdd(uint64_t bytes, unsigned core) {
-  const uint64_t frames = FramesForBytes(bytes);
-  for (uint64_t i = 0; i < frames; ++i) {
-    const Result<FrameId> r = Alloc(0, AllocType::kMovable, core);
-    if (!r.ok()) {
-      return;  // cache fills only as far as memory allows
-    }
-    Touch(*r, 1);
-    cache_frames_.push_back(*r);
-    in_cache_[*r] = true;
-    ++cache_count_;
-  }
+  // The cache fills only as far as memory allows.
+  AllocRuns(0, static_cast<unsigned>(FramesForBytes(bytes)),
+            AllocType::kMovable, core, /*allow_oom_notify=*/true,
+            /*touch=*/true, /*out=*/nullptr);
 }
 
 void GuestVm::CacheDrop(uint64_t bytes, unsigned core) {
   uint64_t frames = FramesForBytes(bytes);
+  std::vector<FrameId> victims;
   while (frames > 0 && !cache_frames_.empty()) {
     const FrameId front = cache_frames_.front();
     cache_frames_.pop_front();
@@ -559,9 +658,10 @@ void GuestVm::CacheDrop(uint64_t bytes, unsigned core) {
     }
     in_cache_[front] = false;
     --cache_count_;
-    Free(front, 0, core);
+    victims.push_back(front);
     --frames;
   }
+  FreeEach(victims, 0, core);
 }
 
 void GuestVm::DropCaches(unsigned core) {

@@ -189,6 +189,22 @@ class GuestVm {
   void FreeBatch(std::span<const FrameId> frames, unsigned order,
                  unsigned core = 0);
 
+  // Workload trains (DESIGN.md §4.10). AllocTouch has exactly the effect
+  // of `count` × (Alloc, then Touch of the claimed run), stopping at the
+  // first failed Alloc; each head frame is appended to `out` and the
+  // number claimed is returned. Frames already parked in a per-vCPU
+  // cache (LLFree) or a buddy train between watermark events are claimed
+  // together and touched one by one, and a frame in a huge frame the
+  // previous touch left fully mapped skips the EPT and hotness checks.
+  unsigned AllocTouch(unsigned order, unsigned count, AllocType type,
+                      unsigned core, std::vector<FrameId>* out);
+
+  // Exactly the effect of Free(frame, order, core) for each frame in
+  // turn: maximal runs of order-0 movable frames in one LLFree zone enter
+  // its per-vCPU cache together.
+  void FreeEach(std::span<const FrameId> frames, unsigned order,
+                unsigned core = 0);
+
   // Writes to [first, first+count) guest frames: unmapped frames fault
   // and populate (THP-style), charging virtual time and bandwidth.
   void Touch(FrameId first, uint64_t count);
@@ -294,11 +310,30 @@ class GuestVm {
   uint64_t LowWatermark() const;
   // How many consecutive watermark calls, each followed by a 2^order
   // allocation, would only count down (no resync, no reclaim).
-  uint64_t QuietWatermarkCalls(unsigned order) const;
-  // Allocates up to `count` runs from the buddy zones as one train whose
-  // per-frame watermark calls are all quiet; returns the runs claimed.
-  unsigned BuddyTrain(unsigned order, unsigned count, AllocType type,
-                      unsigned core, std::vector<FrameId>* out);
+  // `cache_grows`: every allocation joins the page cache, so calls after
+  // the first see a non-empty cache.
+  uint64_t QuietWatermarkCalls(unsigned order, bool cache_grows) const;
+  // Claims up to `count` runs that single Allocs with quiet watermark
+  // calls would return, in their order, without bookkeeping: a buddy
+  // train, or the frames parked in the first preferred LLFree zone's
+  // cache slot. Returns the runs claimed.
+  unsigned Train(unsigned order, unsigned count, AllocType type,
+                 unsigned core, std::vector<FrameId>* out);
+  // `count` × Alloc (then Touch when `touch`) through trains; each run
+  // goes to `out`, or joins the page cache when `out` is null.
+  unsigned AllocRuns(unsigned order, unsigned count, AllocType type,
+                     unsigned core, bool allow_oom_notify, bool touch,
+                     std::vector<FrameId>* out);
+
+  // Frames of one huge frame (within one zone) that the previous touch of
+  // a train left fully mapped and hot; empty when unknown.
+  struct TouchMemo {
+    FrameId begin = 0;
+    FrameId end = 0;
+  };
+  // Touch; with a memo, a run inside the memo costs only the write, and
+  // the memo is updated for the next run.
+  void TouchRun(FrameId first, uint64_t count, TouchMemo* memo);
   Result<FrameId> ZoneAlloc(Zone& zone, unsigned order, AllocType type,
                             unsigned core);
   void ZoneFree(Zone& zone, FrameId frame, unsigned order, unsigned core,

@@ -77,7 +77,7 @@ struct ResizeRequest {
   std::function<void()> done;
   // Optional partial-progress callback: fires just before `done` with
   // how far the request got (also readable via last_outcome()).
-  std::function<void(const ResizeOutcome&)> on_outcome;
+  std::function<void(const ResizeOutcome&)> on_outcome{};
 };
 
 // Huge-frame reclaim split (DESIGN.md §4.14): how the huge frames a

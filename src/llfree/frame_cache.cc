@@ -46,6 +46,17 @@ Result<FrameId> FrameCache::Get(unsigned core, unsigned order,
   return frame;
 }
 
+unsigned FrameCache::Pop(unsigned core, unsigned max,
+                         std::vector<FrameId>* out) {
+  std::vector<FrameId>& frames = slots_[core % config_.slots].frames.write();
+  const size_t n = std::min<size_t>(max, frames.size());
+  out->insert(out->end(), frames.rbegin(),
+              frames.rbegin() + static_cast<std::ptrdiff_t>(n));
+  frames.resize(frames.size() - n);
+  hits_.fetch_add(n, std::memory_order_relaxed);
+  return static_cast<unsigned>(n);
+}
+
 std::optional<AllocError> FrameCache::Put(unsigned core, FrameId frame,
                                           unsigned order, AllocType type) {
   if (order != 0 || type != AllocType::kMovable) {
@@ -54,14 +65,29 @@ std::optional<AllocError> FrameCache::Put(unsigned core, FrameId frame,
     // a movable allocation (which would mix movability within areas).
     return alloc_->Put(frame, order);
   }
-  if (frame >= alloc_->frames()) {
-    return AllocError::kInvalid;
-  }
+  return PutRun(core, std::span<const FrameId>(&frame, 1));
+}
+
+std::optional<AllocError> FrameCache::PutRun(unsigned core,
+                                             std::span<const FrameId> run) {
   std::vector<FrameId>& frames = slots_[core % config_.slots].frames.write();
-  HA_DCHECK(std::find(frames.begin(), frames.end(), frame) ==
-            frames.end());  // double free into the same slot
-  frames.push_back(frame);
-  if (frames.size() > config_.capacity) {
+  size_t i = 0;
+  while (i < run.size()) {
+    // Push until the stack holds capacity + 1 frames, where a single Put
+    // drains.
+    const size_t end =
+        std::min(run.size(), i + config_.capacity + 1 - frames.size());
+    for (; i < end; ++i) {
+      if (run[i] >= alloc_->frames()) {
+        return AllocError::kInvalid;
+      }
+      HA_DCHECK(std::find(frames.begin(), frames.end(), run[i]) ==
+                frames.end());  // double free into the same slot
+      frames.push_back(run[i]);
+    }
+    if (frames.size() <= config_.capacity) {
+      continue;
+    }
     // Drain one batch from the cold end (the hot end keeps recency).
     const std::span<const FrameId> batch(frames.data(), config_.refill);
     const unsigned freed = alloc_->PutBatch(batch, 0);

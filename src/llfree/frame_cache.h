@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/base/atomic.h"
@@ -48,6 +49,12 @@ class FrameCache {
   // zero frames means the allocator is genuinely dry (kNoMemory).
   Result<FrameId> Get(unsigned core, unsigned order, AllocType type);
 
+  // Serves up to `max` order-0 movable Gets from the slot's stack alone,
+  // exactly as that many cache-hit Gets would: the frames are appended to
+  // `out` in the order Get pops them. Never refills; returns the number
+  // served (less than `max` once the stack runs empty).
+  unsigned Pop(unsigned core, unsigned max, std::vector<FrameId>* out);
+
   // Order-0 *movable* frees park in the slot's stack (draining overflow
   // in batches); higher orders and non-movable frees pass through, so
   // frames keep the movability grouping LLFree's slot selection gave
@@ -59,6 +66,12 @@ class FrameCache {
   std::optional<AllocError> Put(unsigned core, FrameId frame, unsigned order,
                                 AllocType type);
 
+  // Exactly `run.size()` order-0 movable Puts in order: the frames enter
+  // the slot's stack, draining `refill` frames from its cold end each
+  // time the stack reaches capacity + 1. Stops at the first error.
+  std::optional<AllocError> PutRun(unsigned core,
+                                   std::span<const FrameId> run);
+
   // Returns every cached frame to the allocator (quiesce / cache-purge
   // reaction, §3.3). Quiescent-use only. Returns the number of frames
   // the allocator refused (0 unless a caller double-freed into the
@@ -67,6 +80,11 @@ class FrameCache {
 
   // Frames currently parked across all slots. Quiescent-use only.
   uint64_t CachedFrames() const;
+  // The stack of `slot`, oldest first (Get pops the back). Quiescent-use
+  // only.
+  const std::vector<FrameId>& Parked(unsigned slot) const {
+    return slots_[slot].frames.read();
+  }
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t refills() const { return refills_.load(std::memory_order_relaxed); }

@@ -98,6 +98,27 @@ class ScopedRoot {
   SpanContext saved_;
 };
 
+// Joins the trace in scope or, when there is none, starts a fresh one as
+// ScopedRoot does: for work that runs both inside traced callers and on
+// its own (workload region grow/free, compile job steps).
+class ScopedTrace {
+ public:
+  ScopedTrace() : saved_(ThreadSpanContext()) {
+    SpanContext& context = ThreadSpanContext();
+    if (context.trace_id == 0 && SpanTracer::Global().enabled()) {
+      context.trace_id = SpanTracer::Global().NewTraceId();
+      context.parent_span = 0;
+    }
+  }
+  ~ScopedTrace() { ThreadSpanContext() = saved_; }
+
+  ScopedTrace(const ScopedTrace&) = delete;
+  ScopedTrace& operator=(const ScopedTrace&) = delete;
+
+ private:
+  SpanContext saved_;
+};
+
 // RAII span. Arms only when the tracer is enabled and a trace id is in
 // scope; parents itself under the innermost open span on this thread
 // (or the context's parent_span when it is the first). Charges made via
@@ -280,7 +301,19 @@ class ScopedContext {
   explicit ScopedContext(const SpanContext&) {}
 };
 
-class ScopedRoot {};
+// User-provided constructors and destructors keep -Wunused-variable
+// quiet about RAII locals of these otherwise empty types.
+class ScopedRoot {
+ public:
+  ScopedRoot() {}
+  ~ScopedRoot() {}
+};
+
+class ScopedTrace {
+ public:
+  ScopedTrace() {}
+  ~ScopedTrace() {}
+};
 
 class Span {
  public:

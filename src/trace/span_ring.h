@@ -93,7 +93,22 @@ class RingCore {
   void Rebuild(size_t capacity) {
     // SharedT is non-copyable; a fresh vector default-constructs the
     // slots (pending events are discarded either way).
-    ring_ = std::vector<SharedT<Event>>(capacity);
+    Adopt(std::vector<SharedT<Event>>(capacity));
+  }
+
+  // Hands the slot storage out, leaving a zero-capacity ring, so another
+  // ring can Adopt it without allocating. Quiescence only: pending events
+  // are discarded (drain first).
+  std::vector<SharedT<Event>> TakeStorage() {
+    std::vector<SharedT<Event>> storage = std::move(ring_);
+    Adopt({});
+    return storage;
+  }
+
+  // Re-creates the ring over `storage`, whose stale slots are never read
+  // (the ring starts empty). Quiescence only.
+  void Adopt(std::vector<SharedT<Event>> storage) {
+    ring_ = std::move(storage);
     head_.store(0, std::memory_order_relaxed);
     tail_.store(0, std::memory_order_relaxed);
     dropped_.store(0, std::memory_order_relaxed);

@@ -228,7 +228,7 @@ constexpr size_t kDefaultSpanRingCapacity = 1 << 16;
 using SpanRing = RingCore<SpanRecord, std::atomic>;
 
 struct SpanTracer::ThreadBuffer {
-  SpanRing ring{kDefaultSpanRingCapacity};
+  SpanRing ring{0};  // sized by Register
   SpanTracer* owner = nullptr;
 };
 
@@ -238,6 +238,10 @@ struct SpanTracer::Impl {
   std::vector<ThreadBuffer*> live;
   std::vector<SpanRecord> retired;
   uint64_t retired_dropped = 0;
+  // Drained slot storage of exited threads, all of `capacity` slots:
+  // engines that start threads per pass reuse it instead of allocating
+  // and zeroing a full ring per thread.
+  std::vector<std::vector<PlainShared<SpanRecord>>> spare;
 };
 
 // RAII registration of the calling thread's ring; the destructor moves
@@ -279,7 +283,12 @@ SpanTracer::ThreadBuffer& SpanTracer::LocalBuffer() {
 void SpanTracer::Register(ThreadBuffer* buffer) {
   Impl* i = impl();
   std::lock_guard<std::mutex> lock(i->mu);
-  buffer->ring.Rebuild(i->capacity);
+  if (i->spare.empty()) {
+    buffer->ring.Rebuild(i->capacity);
+  } else {
+    buffer->ring.Adopt(std::move(i->spare.back()));
+    i->spare.pop_back();
+  }
   buffer->owner = this;
   i->live.push_back(buffer);
 }
@@ -289,6 +298,7 @@ void SpanTracer::Retire(ThreadBuffer* buffer) {
   std::lock_guard<std::mutex> lock(i->mu);
   buffer->ring.Drain(&i->retired);
   i->retired_dropped += buffer->ring.dropped();
+  i->spare.push_back(buffer->ring.TakeStorage());
   std::erase(i->live, buffer);
   buffer->owner = nullptr;
 }
@@ -354,6 +364,7 @@ void SpanTracer::SetCapacity(size_t spans_per_thread) {
   Impl* i = impl();
   std::lock_guard<std::mutex> lock(i->mu);
   i->capacity = spans_per_thread;
+  i->spare.clear();
   for (ThreadBuffer* buffer : i->live) {
     buffer->ring.Rebuild(spans_per_thread);
   }

@@ -274,9 +274,10 @@ struct SpanRecord {
 
 // The process-wide tracer: per-thread single-writer rings of SpanRecords
 // (drainable while the writers run — see span_ring.h), a retired list
-// for exited threads, and monotonic trace-/span-id generators. Spans
-// and instants share the rings, the capacity, the drain and the dropped
-// count; each kind has its own switch. Always compiled; the
+// for exited threads' records (their drained ring storage goes to the
+// next thread that registers), and monotonic trace-/span-id generators.
+// Spans and instants share the rings, the capacity, the drain and the
+// dropped count; each kind has its own switch. Always compiled; the
 // instrumentation (span.h types, HA_TRACE_EVENT) compiles out.
 class SpanTracer {
  public:

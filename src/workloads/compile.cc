@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/base/check.h"
+#include "src/trace/span.h"
 
 namespace hyperalloc::workloads {
 
@@ -99,6 +100,8 @@ void CompileWorkload::WorkerNext(unsigned worker) {
 
 void CompileWorkload::JobStep(unsigned worker, uint64_t region, Job job,
                               unsigned step, sim::Time step_time) {
+  trace::ScopedTrace scope;
+  trace::Span span(trace::Layer::kGuest, "compile.job_step");
   const unsigned steps = std::max(1u, config_.ws_steps);
   if (step >= steps) {
     FinishJob(worker, region, job.is_link);
@@ -113,6 +116,8 @@ void CompileWorkload::JobStep(unsigned worker, uint64_t region, Job job,
 
 void CompileWorkload::FinishJob(unsigned worker, uint64_t region,
                                 bool was_link) {
+  trace::ScopedTrace scope;
+  trace::Span span(trace::Layer::kGuest, "compile.finish_job");
   pool_->FreeRegion(region, worker);
   // Writing the artifact grows the page cache.
   const uint64_t artifact =

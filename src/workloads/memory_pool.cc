@@ -1,6 +1,9 @@
 #include "src/workloads/memory_pool.h"
 
+#include <span>
+
 #include "src/base/check.h"
+#include "src/trace/span.h"
 
 namespace hyperalloc::workloads {
 
@@ -25,9 +28,11 @@ void MemoryPool::GrowRegion(uint64_t region, uint64_t bytes,
 void MemoryPool::GrowRegionTyped(uint64_t region, uint64_t bytes,
                                  double thp_fraction, unsigned core,
                                  AllocType type) {
-  std::vector<Allocation>& allocs = regions_.at(region);
+  trace::ScopedTrace scope;
+  trace::Span span(trace::Layer::kGuest, "pool.grow_region");
+  Region& allocs = regions_.at(region);
 
-  uint64_t huge_frames =
+  const uint64_t huge_frames =
       HugesForFrames(static_cast<uint64_t>(
           static_cast<double>(FramesForBytes(bytes)) * thp_fraction)) *
       kFramesPerHuge;
@@ -35,31 +40,31 @@ void MemoryPool::GrowRegionTyped(uint64_t region, uint64_t bytes,
                              ? FramesForBytes(bytes) - huge_frames
                              : 0;
 
+  // Allocates and touches up to `count` runs of 2^order frames, stopping
+  // at the first failure; returns the runs claimed.
   auto grab = [&](unsigned order, uint64_t count) {
-    for (uint64_t i = 0; i < count; ++i) {
-      Result<FrameId> r = vm_->Alloc(
-          order, order == kHugeOrder ? AllocType::kHuge : type, core);
-      if (!r.ok() && order == kHugeOrder) {
-        // THP fallback: the kernel uses base pages when no huge frame is
-        // available.
-        base_frames += (count - i) * kFramesPerHuge;
-        return;
+    const size_t first = allocs.frames.size();
+    const unsigned got = vm_->AllocTouch(
+        order, static_cast<unsigned>(count),
+        order == kHugeOrder ? AllocType::kHuge : type, core, &allocs.frames);
+    allocs.orders.resize(allocs.frames.size(), static_cast<uint8_t>(order));
+    if (track_index_) {
+      for (size_t i = first; i < allocs.frames.size(); ++i) {
+        index_[allocs.frames[i]] = {region, i};
       }
-      if (!r.ok()) {
-        return;  // OOM: keep what we got
-      }
-      vm_->Touch(*r, 1ull << order);
-      const size_t idx = allocs.size();
-      allocs.push_back({*r, order});
-      if (track_index_) {
-        index_[*r] = {region, idx};
-      }
-      total_frames_ += 1ull << order;
     }
+    total_frames_ += static_cast<uint64_t>(got) << order;
+    span.AddFrames(static_cast<uint64_t>(got) << order);
+    return got;
   };
 
-  grab(kHugeOrder, huge_frames / kFramesPerHuge);
-  grab(0, base_frames);
+  const uint64_t huge_count = huge_frames / kFramesPerHuge;
+  const unsigned huge_got = grab(kHugeOrder, huge_count);
+  span.AddHugeFrames(static_cast<uint64_t>(huge_got) << kHugeOrder);
+  // THP fallback: the kernel uses base pages when no huge frame is
+  // available.
+  base_frames += (huge_count - huge_got) * kFramesPerHuge;
+  grab(0, base_frames);  // an OOM keeps what was claimed
 }
 
 void MemoryPool::FreeRegion(uint64_t region, unsigned core) {
@@ -67,12 +72,26 @@ void MemoryPool::FreeRegion(uint64_t region, unsigned core) {
   if (it == regions_.end()) {
     return;
   }
-  for (const Allocation& alloc : it->second) {
-    vm_->Free(alloc.frame, alloc.order, core);
-    if (track_index_) {
-      index_.erase(alloc.frame);
+  trace::ScopedTrace scope;
+  trace::Span span(trace::Layer::kGuest, "pool.free_region");
+  // Runs of equal order, in region order.
+  const Region& allocs = it->second;
+  size_t end = 0;
+  for (size_t i = 0; i < allocs.frames.size(); i = end) {
+    const unsigned order = allocs.orders[i];
+    end = i;
+    while (end < allocs.frames.size() && allocs.orders[end] == order) {
+      ++end;
     }
-    total_frames_ -= 1ull << alloc.order;
+    const std::span<const FrameId> run(allocs.frames.data() + i, end - i);
+    vm_->FreeEach(run, order, core);
+    if (track_index_) {
+      for (const FrameId frame : run) {
+        index_.erase(frame);
+      }
+    }
+    total_frames_ -= run.size() << order;
+    span.AddFrames(run.size() << order);
   }
   regions_.erase(it);
 }
@@ -94,8 +113,8 @@ uint64_t MemoryPool::RegionBytes(uint64_t region) const {
     return 0;
   }
   uint64_t frames = 0;
-  for (const Allocation& alloc : it->second) {
-    frames += 1ull << alloc.order;
+  for (const uint8_t order : it->second.orders) {
+    frames += 1ull << order;
   }
   return frames * kFrameSize;
 }
@@ -108,10 +127,10 @@ void MemoryPool::OnFrameMigrated(FrameId old_head, FrameId new_head,
     return;  // not ours (page cache or another owner)
   }
   const auto [region, idx] = it->second;
-  std::vector<Allocation>& allocs = regions_.at(region);
-  HA_CHECK(allocs[idx].frame == old_head);
-  HA_CHECK(allocs[idx].order == order);
-  allocs[idx].frame = new_head;
+  Region& allocs = regions_.at(region);
+  HA_CHECK(allocs.frames[idx] == old_head);
+  HA_CHECK(allocs.orders[idx] == order);
+  allocs.frames[idx] = new_head;
   index_.erase(it);
   index_[new_head] = {region, idx};
 }

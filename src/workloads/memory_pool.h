@@ -48,9 +48,11 @@ class MemoryPool : public guest::MigrationListener {
                        unsigned order) override;
 
  private:
-  struct Allocation {
-    FrameId frame;
-    unsigned order;
+  // A region's allocations in allocation order: head frames (runs of
+  // equal order free straight from `frames`) and their orders.
+  struct Region {
+    std::vector<FrameId> frames;
+    std::vector<uint8_t> orders;
   };
 
   void GrowRegionTyped(uint64_t region, uint64_t bytes, double thp_fraction,
@@ -60,8 +62,8 @@ class MemoryPool : public guest::MigrationListener {
   bool track_index_ = true;
   uint64_t next_region_ = 1;
   uint64_t total_frames_ = 0;
-  std::unordered_map<uint64_t, std::vector<Allocation>> regions_;
-  // frame -> (region id, index into its allocation vector)
+  std::unordered_map<uint64_t, Region> regions_;
+  // frame -> (region id, index into its allocation vectors)
   std::unordered_map<FrameId, std::pair<uint64_t, size_t>> index_;
 };
 

@@ -134,8 +134,8 @@ INSTANTIATE_TEST_SUITE_P(
                   "llfree_monitor_vfio"},
         FuzzParam{guest::AllocatorKind::kLLFree, true, true, 5,
                   "llfree_monitor_vfio_seed5"}),
-    [](const ::testing::TestParamInfo<FuzzParam>& info) {
-      return info.param.name;
+    [](const ::testing::TestParamInfo<FuzzParam>& param_info) {
+      return param_info.param.name;
     });
 
 }  // namespace

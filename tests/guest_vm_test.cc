@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
 #include "src/base/rng.h"
+#include "src/core/hyperalloc.h"
 #include "src/guest/guest_vm.h"
 #include "src/trace/trace.h"
 
@@ -29,6 +31,48 @@ class GuestVmTestPeer {
       out->push_back(*r);
     }
     return got;
+  }
+  // Alloc then Touch, one run at a time: what AllocTouch must equal.
+  static unsigned SingleAllocTouch(GuestVm& vm, unsigned order,
+                                   unsigned count, AllocType type,
+                                   unsigned core, std::vector<FrameId>* out) {
+    unsigned got = 0;
+    for (; got < count; ++got) {
+      const Result<FrameId> r = vm.Alloc(order, type, core);
+      if (!r.ok()) {
+        break;
+      }
+      vm.Touch(*r, 1ull << order);
+      out->push_back(*r);
+    }
+    return got;
+  }
+  // CacheAdd and CacheDrop frame by frame, as they ran before trains.
+  static void SingleCacheAdd(GuestVm& vm, uint64_t bytes, unsigned core) {
+    for (uint64_t i = 0; i < FramesForBytes(bytes); ++i) {
+      const Result<FrameId> r = vm.Alloc(0, AllocType::kMovable, core);
+      if (!r.ok()) {
+        return;
+      }
+      vm.Touch(*r, 1);
+      vm.cache_frames_.push_back(*r);
+      vm.in_cache_[*r] = true;
+      ++vm.cache_count_;
+    }
+  }
+  static void SingleCacheDrop(GuestVm& vm, uint64_t bytes, unsigned core) {
+    uint64_t frames = FramesForBytes(bytes);
+    while (frames > 0 && !vm.cache_frames_.empty()) {
+      const FrameId front = vm.cache_frames_.front();
+      vm.cache_frames_.pop_front();
+      if (!vm.in_cache_[front]) {
+        continue;
+      }
+      vm.in_cache_[front] = false;
+      --vm.cache_count_;
+      vm.Free(front, 0, core);
+      --frames;
+    }
   }
   static uint64_t ResyncCountdown(const GuestVm& vm) {
     return vm.watermark_resync_countdown_;
@@ -372,6 +416,256 @@ TEST_F(GuestVmTest, BuddyAllocBatchMatchesSingles) {
       EXPECT_TRUE(zone.buddy->Validate());
     }
   }
+}
+
+// Records every bandwidth interval a VM reports.
+class BandwidthLog : public hv::InterferenceSink {
+ public:
+  void OnBandwidth(sim::Time t0, sim::Time t1, double bytes_per_ns) override {
+    intervals.emplace_back(t0, t1, bytes_per_ns);
+  }
+  std::vector<std::tuple<sim::Time, sim::Time, double>> intervals;
+};
+
+// One VM of a twin pair: its own clock, host pool and bandwidth log, and
+// optionally a HyperAlloc monitor (every area starts soft-reclaimed, so
+// first claims install) and a swap-style fault surcharge.
+struct TwinVm {
+  TwinVm(const GuestConfig& config, bool monitor, bool surcharge)
+      : host(FramesForBytes(kGiB)) {
+    vm = std::make_unique<GuestVm>(&sim, &host, config);
+    vm->SetInterferenceSink(&log);
+    if (monitor) {
+      hyperalloc = std::make_unique<core::HyperAllocMonitor>(
+          vm.get(), core::HyperAllocConfig{});
+    }
+    if (surcharge) {
+      vm->SetFaultSurcharge([](FrameId frame, uint64_t count) {
+        return count * 300 + frame % 7;
+      });
+    }
+  }
+
+  uint64_t CacheRefills() const {
+    uint64_t refills = 0;
+    for (const Zone& zone : vm->zones()) {
+      if (zone.llfree_cache != nullptr) {
+        refills += zone.llfree_cache->refills();
+      }
+    }
+    return refills;
+  }
+
+  sim::Simulation sim;
+  hv::HostMemory host;
+  BandwidthLog log;
+  std::unique_ptr<GuestVm> vm;
+  std::unique_ptr<core::HyperAllocMonitor> hyperalloc;
+};
+
+// Everything the trains may not change: clocks, fault accounting,
+// watermark state, page cache, per-vCPU caches (counts and stacks),
+// installs and bandwidth intervals; with `frames`, also every frame's
+// allocation record, EPT mapping and area hotness.
+void ExpectSameVm(const TwinVm& a, const TwinVm& b, bool frames) {
+  const GuestVm& x = *a.vm;
+  const GuestVm& y = *b.vm;
+  ASSERT_EQ(a.sim.now(), b.sim.now());
+  ASSERT_EQ(x.fault_time(), y.fault_time());
+  ASSERT_EQ(x.ept_faults_2m(), y.ept_faults_2m());
+  ASSERT_EQ(x.ept_faults_4k(), y.ept_faults_4k());
+  ASSERT_EQ(x.rss_bytes(), y.rss_bytes());
+  ASSERT_EQ(x.FreeFrames(), y.FreeFrames());
+  ASSERT_EQ(x.cache_bytes(), y.cache_bytes());
+  ASSERT_EQ(x.cache_evictions(), y.cache_evictions());
+  ASSERT_EQ(x.oom_events(), y.oom_events());
+  ASSERT_EQ(GuestVmTestPeer::ResyncCountdown(x),
+            GuestVmTestPeer::ResyncCountdown(y));
+  ASSERT_EQ(GuestVmTestPeer::ApproxFree(x), GuestVmTestPeer::ApproxFree(y));
+  if (a.hyperalloc != nullptr) {
+    ASSERT_EQ(a.hyperalloc->installs(), b.hyperalloc->installs());
+  }
+  ASSERT_EQ(a.log.intervals, b.log.intervals);
+  for (size_t z = 0; z < a.vm->zones().size(); ++z) {
+    const llfree::FrameCache* cx = a.vm->zones()[z].llfree_cache.get();
+    const llfree::FrameCache* cy = b.vm->zones()[z].llfree_cache.get();
+    if (cx == nullptr) {
+      continue;
+    }
+    ASSERT_EQ(cx->hits(), cy->hits());
+    ASSERT_EQ(cx->refills(), cy->refills());
+    ASSERT_EQ(cx->drains(), cy->drains());
+    ASSERT_EQ(cx->lost_frames(), 0u);
+    for (unsigned slot = 0; slot < cx->cache_config().slots; ++slot) {
+      ASSERT_EQ(cx->Parked(slot), cy->Parked(slot)) << "slot " << slot;
+    }
+  }
+  if (!frames) {
+    return;
+  }
+  for (FrameId f = 0; f < x.total_frames(); ++f) {
+    ASSERT_EQ(x.AllocOrderAt(f), y.AllocOrderAt(f)) << "frame " << f;
+    ASSERT_EQ(x.AllocUnmovableAt(f), y.AllocUnmovableAt(f)) << "frame " << f;
+    ASSERT_EQ(a.vm->ept().IsMapped(f), b.vm->ept().IsMapped(f))
+        << "frame " << f;
+  }
+  for (size_t z = 0; z < a.vm->zones().size(); ++z) {
+    const llfree::LLFree* lx = a.vm->zones()[z].llfree.get();
+    if (lx == nullptr) {
+      continue;
+    }
+    const llfree::LLFree* ly = b.vm->zones()[z].llfree.get();
+    for (HugeId h = 0; h < lx->num_areas(); ++h) {
+      ASSERT_EQ(lx->HotnessOf(h), ly->HotnessOf(h)) << "area " << h;
+    }
+  }
+}
+
+// What the random twin runs covered.
+struct TwinCoverage {
+  uint64_t refill_in_request = 0;   // an AllocTouch crossed a cache refill
+  uint64_t install_in_request = 0;  // ... or installed a frame
+  uint64_t reclaim_in_request = 0;  // ... or reclaimed page cache
+  uint64_t partial_touches = 0;     // 4 KiB faults in AllocTouch requests
+};
+
+// Random allocation, free and page-cache traffic on twin VMs: `trains`
+// uses AllocTouch, FreeEach, CacheAdd and CacheDrop, `single` the
+// per-frame calls they replace. Both start mostly page cache, so the
+// watermark and direct reclaim fire inside requests; some frames are
+// unmapped behind the guest's back, so touches also meet partially
+// mapped huge frames.
+void RunTwins(TwinVm& trains, TwinVm& single, uint64_t seed,
+              TwinCoverage* coverage) {
+  const uint64_t fill = trains.vm->total_frames() * kFrameSize * 7 / 8;
+  trains.vm->CacheAdd(fill);
+  GuestVmTestPeer::SingleCacheAdd(*single.vm, fill, 0);
+  ASSERT_NO_FATAL_FAILURE(ExpectSameVm(trains, single, true));
+  Rng rng(seed);
+  struct Live {
+    unsigned order;
+    std::vector<FrameId> frames;
+  };
+  Live live[] = {{0, {}}, {3, {}}, {kHugeOrder, {}}};
+  for (int step = 0; step < 300; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    const unsigned core = static_cast<unsigned>(rng.Below(4));
+    const double dice = rng.NextDouble();
+    Live& pick = live[rng.Chance(0.7) ? 0 : 1 + rng.Below(2)];
+    const unsigned order = pick.order;
+    if (dice < 0.45) {
+      const AllocType type = order == kHugeOrder ? AllocType::kHuge
+                             : rng.Chance(0.75)  ? AllocType::kMovable
+                                                 : AllocType::kUnmovable;
+      const unsigned count = order == kHugeOrder
+                                 ? 1 + static_cast<unsigned>(rng.Below(6))
+                                 : 1 + static_cast<unsigned>(rng.Below(900));
+      const uint64_t refills = trains.CacheRefills();
+      const uint64_t installs =
+          trains.hyperalloc != nullptr ? trains.hyperalloc->installs() : 0;
+      const uint64_t evictions = trains.vm->cache_evictions();
+      const uint64_t faults_4k = trains.vm->ept_faults_4k();
+      std::vector<FrameId> got;
+      std::vector<FrameId> want;
+      const unsigned n =
+          trains.vm->AllocTouch(order, count, type, core, &got);
+      GuestVmTestPeer::SingleAllocTouch(*single.vm, order, count, type, core,
+                                        &want);
+      ASSERT_EQ(n, got.size());
+      ASSERT_EQ(got, want);
+      if (n > 1) {
+        coverage->refill_in_request += trains.CacheRefills() > refills;
+        coverage->install_in_request +=
+            trains.hyperalloc != nullptr &&
+            trains.hyperalloc->installs() > installs;
+        coverage->reclaim_in_request +=
+            trains.vm->cache_evictions() > evictions;
+        coverage->partial_touches += trains.vm->ept_faults_4k() > faults_4k;
+      }
+      pick.frames.insert(pick.frames.end(), got.begin(), got.end());
+    } else if (dice < 0.7 && !pick.frames.empty()) {
+      std::vector<FrameId>& frames = pick.frames;
+      const size_t n = 1 + rng.Below(std::min<size_t>(frames.size(), 700));
+      std::swap(frames[rng.Below(frames.size())], frames.back());
+      const std::vector<FrameId> batch(frames.end() - static_cast<long>(n),
+                                       frames.end());
+      frames.resize(frames.size() - n);
+      trains.vm->FreeEach(batch, order, core);
+      for (const FrameId f : batch) {
+        single.vm->Free(f, order, core);
+      }
+    } else if (dice < 0.8) {
+      const uint64_t bytes = (1 + rng.Below(24)) * kMiB;
+      trains.vm->CacheAdd(bytes, core);
+      GuestVmTestPeer::SingleCacheAdd(*single.vm, bytes, core);
+    } else if (dice < 0.9) {
+      const uint64_t bytes = (1 + rng.Below(24)) * kMiB;
+      trains.vm->CacheDrop(bytes, core);
+      GuestVmTestPeer::SingleCacheDrop(*single.vm, bytes, core);
+    } else {
+      // Swap-out or free page reporting behind the guest's back.
+      for (int i = 0; i < 64; ++i) {
+        const FrameId f = rng.Below(trains.vm->total_frames());
+        trains.vm->ept().Unmap(f, 1);
+        single.vm->ept().Unmap(f, 1);
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectSameVm(trains, single, step % 25 == 0));
+  }
+  ASSERT_NO_FATAL_FAILURE(ExpectSameVm(trains, single, true));
+}
+
+// AllocTouch, FreeEach and the page-cache paths equal their per-frame
+// calls on LLFree guests: cache trains up to refills that install from
+// evicted areas, watermark-limited trains with page cache present, and
+// the touch memo against partially mapped huge frames.
+TEST_F(GuestVmTest, LLFreeTrainsMatchSingles) {
+  GuestConfig normal = SmallLLFree();
+  GuestConfig movable = SmallLLFree();
+  movable.movable_bytes = 64 * kMiB;
+  TwinCoverage coverage;
+  uint64_t seed = 11;
+  for (const GuestConfig& config : {normal, movable}) {
+    SCOPED_TRACE(config.movable_bytes > 0 ? "movable zone" : "normal zone");
+    TwinVm trains(config, /*monitor=*/true, /*surcharge=*/false);
+    TwinVm single(config, /*monitor=*/true, /*surcharge=*/false);
+    ASSERT_NO_FATAL_FAILURE(RunTwins(trains, single, seed++, &coverage));
+    for (const Zone& zone : trains.vm->zones()) {
+      EXPECT_TRUE(zone.llfree->Validate());
+    }
+  }
+  EXPECT_GT(coverage.refill_in_request, 0u);
+  EXPECT_GT(coverage.install_in_request, 0u);
+  EXPECT_GT(coverage.reclaim_in_request, 0u);
+  EXPECT_GT(coverage.partial_touches, 0u);
+}
+
+// Buddy guests with the HyperAlloc monitor's aux bridge: RecordAlloc
+// installs evicted huge frames between the touches of a buddy train.
+TEST_F(GuestVmTest, BuddyAuxTrainsMatchSingles) {
+  TwinCoverage coverage;
+  TwinVm trains(SmallBuddy(), /*monitor=*/true, /*surcharge=*/false);
+  TwinVm single(SmallBuddy(), /*monitor=*/true, /*surcharge=*/false);
+  ASSERT_NE(trains.vm->aux_state(), nullptr);
+  ASSERT_NO_FATAL_FAILURE(RunTwins(trains, single, 21, &coverage));
+  EXPECT_GT(coverage.install_in_request, 0u);
+  EXPECT_GT(coverage.reclaim_in_request, 0u);
+  for (const Zone& zone : trains.vm->zones()) {
+    EXPECT_TRUE(zone.buddy->Validate());
+  }
+}
+
+// With a fault surcharge attached (swap) the touch memo is off and every
+// touch pays its surcharge, as the singles do.
+TEST_F(GuestVmTest, SurchargedTrainsMatchSingles) {
+  TwinCoverage coverage;
+  uint64_t seed = 31;
+  for (const GuestConfig& config : {SmallLLFree(), SmallBuddy()}) {
+    TwinVm trains(config, /*monitor=*/false, /*surcharge=*/true);
+    TwinVm single(config, /*monitor=*/false, /*surcharge=*/true);
+    ASSERT_NO_FATAL_FAILURE(RunTwins(trains, single, seed++, &coverage));
+  }
+  EXPECT_GT(coverage.partial_touches, 0u);
 }
 
 TEST_F(GuestVmTest, PurgeAllocatorCachesDrainsPcp) {

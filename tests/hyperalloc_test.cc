@@ -220,7 +220,7 @@ TEST_F(HyperAllocTest, ScanCostMatchesPaperFormula) {
   // With LLFree's 16-bit area entries that is 128 + 1024 bytes = 18
   // consecutive cache lines per GiB; the aux bitmap (2 bit/huge) makes it
   // 4. Zones of whole GiB keep per-zone rounding out of the count.
-  for (const auto [allocator, lines_per_gib] :
+  for (const auto& [allocator, lines_per_gib] :
        {std::pair{guest::AllocatorKind::kLLFree, 18u},
         std::pair{guest::AllocatorKind::kBuddy, 4u}}) {
     sim::Simulation sim;

@@ -444,6 +444,66 @@ TEST_F(LLFreeTest, FrameCacheHitsAvoidAllocator) {
   EXPECT_FALSE(cache.Put(0, *b, 0, AllocType::kMovable).has_value());
 }
 
+// PutRun and Pop against a model of the slot stack: a run is that many
+// Puts (each pushes, and the stack drains `refill` frames from its cold
+// end once it holds capacity + 1), a Pop that many hit Gets from the hot
+// end.
+TEST_F(LLFreeTest, FrameCacheRunsFollowTheStackModel) {
+  Init(kFrames16MiB);
+  FrameCache::CacheConfig cc;
+  cc.slots = 2;
+  cc.capacity = 64;
+  cc.refill = 32;
+  FrameCache cache(alloc_.get(), cc);
+  std::vector<FrameId> owned;  // allocated to this test, not parked
+  ASSERT_EQ(alloc_->GetBatch(0, 0, 3000, AllocType::kMovable, &owned), 3000u);
+  std::vector<FrameId> model[2];
+  uint64_t drains = 0;
+  uint64_t hits = 0;
+  uint64_t freed = 0;
+  Rng rng(3);
+  for (int step = 0; step < 400 && !owned.empty(); ++step) {
+    const unsigned slot = static_cast<unsigned>(rng.Below(2));
+    if (rng.Chance(0.6)) {
+      const size_t n = 1 + rng.Below(std::min<size_t>(owned.size(), 150));
+      const std::vector<FrameId> run(owned.end() - static_cast<long>(n),
+                                     owned.end());
+      owned.resize(owned.size() - n);
+      if (n == 1 && rng.Chance(0.5)) {
+        ASSERT_FALSE(cache.Put(slot, run[0], 0, AllocType::kMovable));
+      } else {
+        ASSERT_FALSE(cache.PutRun(slot, run));
+      }
+      for (const FrameId f : run) {
+        model[slot].push_back(f);
+        if (model[slot].size() > cc.capacity) {
+          model[slot].erase(model[slot].begin(),
+                            model[slot].begin() + cc.refill);
+          ++drains;
+          freed += cc.refill;
+        }
+      }
+    } else {
+      const unsigned max = static_cast<unsigned>(rng.Below(80));
+      std::vector<FrameId> got;
+      const unsigned n = cache.Pop(slot, max, &got);
+      ASSERT_EQ(n, std::min<size_t>(max, model[slot].size()));
+      ASSERT_EQ(got, std::vector<FrameId>(model[slot].rbegin(),
+                                          model[slot].rbegin() + n));
+      model[slot].resize(model[slot].size() - n);
+      hits += n;
+      owned.insert(owned.end(), got.begin(), got.end());
+    }
+    ASSERT_EQ(cache.Parked(slot), model[slot]) << "step " << step;
+    ASSERT_EQ(cache.drains(), drains);
+    ASSERT_EQ(cache.hits(), hits);
+    ASSERT_EQ(alloc_->FreeFrames(), kFrames16MiB - 3000 + freed);
+  }
+  EXPECT_GT(drains, 10u);
+  EXPECT_EQ(cache.refills(), 0u);  // Pop never refills
+  EXPECT_TRUE(alloc_->Validate());
+}
+
 TEST_F(LLFreeTest, FrameCacheDrainOnQuiesce) {
   Init(kFrames16MiB);
   FrameCache::CacheConfig cc;

@@ -390,6 +390,8 @@ static_assert(sizeof(RequestSpan) <= 1,
               "RequestSpan must compile out to an empty type");
 static_assert(sizeof(ScopedRoot) <= 1,
               "ScopedRoot must compile out to an empty type");
+static_assert(sizeof(ScopedTrace) <= 1,
+              "ScopedTrace must compile out to an empty type");
 static_assert(sizeof(SpanContext) <= 1,
               "SpanContext must compile out to an empty type");
 

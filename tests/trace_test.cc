@@ -51,7 +51,7 @@ class TraceTest : public ::testing::Test {
   }
 };
 
-uint64_t CounterValue(const std::string& name) {
+[[maybe_unused]] uint64_t CounterValue(const std::string& name) {
   for (const auto& [n, v] : CounterRegistry::Global().Counters()) {
     if (n == name) {
       return v;
@@ -214,6 +214,32 @@ TEST_F(TraceTest, ThreadExitRetiresBufferedEvents) {
   const std::vector<SpanRecord> events = tracer.Drain();
   ASSERT_EQ(events.size(), 5u);
   EXPECT_EQ(events[4].arg0, 4u);
+}
+
+// Threads started one after another (the fleet engine starts its workers
+// per pass) reuse the drained rings of exited threads: each starts empty,
+// with its own full capacity and a zero drop count.
+TEST_F(TraceTest, LaterThreadsReuseRetiredRings) {
+  SpanTracer& tracer = SpanTracer::Global();
+  tracer.SetCapacity(4);
+  tracer.SetEventsEnabled(true);
+  for (uint64_t pass = 0; pass < 3; ++pass) {
+    std::thread worker([&tracer, pass] {
+      // Pass 0 overflows its ring by two; later passes fit.
+      for (uint64_t i = 0; i < (pass == 0 ? 6u : 3u); ++i) {
+        tracer.EmitInstant(Category::kBalloon, Op::kInflate, pass, i);
+      }
+    });
+    worker.join();
+  }
+  const std::vector<SpanRecord> events = tracer.Drain();
+  ASSERT_EQ(events.size(), 4u + 3u + 3u);
+  EXPECT_EQ(tracer.dropped_spans(), 2u);
+  for (size_t i = 0; i < events.size(); ++i) {
+    const uint64_t pass = i < 4 ? 0 : (i < 7 ? 1 : 2);
+    EXPECT_EQ(events[i].arg0, pass) << i;
+    EXPECT_EQ(events[i].arg1, pass == 0 ? i : (i - 4) % 3) << i;
+  }
 }
 
 TEST_F(TraceTest, DisabledTracerEmitsNothing) {

@@ -2,6 +2,10 @@
 // blender, SPEC preparation, and the interference hub.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "src/base/rng.h"
+#include "src/core/hyperalloc.h"
 #include "src/workloads/blender.h"
 #include "src/workloads/compile.h"
 #include "src/workloads/ftq.h"
@@ -89,6 +93,147 @@ TEST_F(WorkloadsTest, ConcurrentJobsInterleaveMemory) {
   pool_->FreeRegion(a, 0);
   pool_->FreeRegion(b, 0);
   EXPECT_EQ(vm_->FreeFrames(), vm_->total_frames());
+}
+
+// One side of the pool twin: a VM with a HyperAlloc monitor and a log
+// of the bandwidth intervals it reports.
+struct PoolTwin : hv::InterferenceSink {
+  explicit PoolTwin(const guest::GuestConfig& config)
+      : host(FramesForBytes(kGiB)), vm(&sim, &host, config),
+        monitor(&vm, core::HyperAllocConfig{}) {
+    vm.SetInterferenceSink(this);
+  }
+  void OnBandwidth(sim::Time t0, sim::Time t1, double bytes_per_ns) override {
+    bandwidth.emplace_back(t0, t1, bytes_per_ns);
+  }
+
+  sim::Simulation sim;
+  hv::HostMemory host;
+  guest::GuestVm vm;
+  core::HyperAllocMonitor monitor;
+  std::vector<std::tuple<sim::Time, sim::Time, double>> bandwidth;
+};
+
+// The per-frame region code MemoryPool's trains replace: Alloc then Touch
+// per allocation, huge frames first with the THP fallback to base pages,
+// an OOM keeping what was claimed, and frees in region order.
+struct PerFrameRegion {
+  std::vector<std::pair<FrameId, unsigned>> allocs;
+  uint64_t huge_fallbacks = 0;
+
+  void Grow(guest::GuestVm& vm, uint64_t bytes, double thp, unsigned core,
+            AllocType type) {
+    const uint64_t frames = FramesForBytes(bytes);
+    const uint64_t huge_frames =
+        HugesForFrames(static_cast<uint64_t>(static_cast<double>(frames) *
+                                             thp)) *
+        kFramesPerHuge;
+    uint64_t base_frames = frames > huge_frames ? frames - huge_frames : 0;
+    for (uint64_t i = 0; i < huge_frames / kFramesPerHuge; ++i) {
+      const Result<FrameId> r = vm.Alloc(kHugeOrder, AllocType::kHuge, core);
+      if (!r.ok()) {
+        base_frames += (huge_frames / kFramesPerHuge - i) * kFramesPerHuge;
+        ++huge_fallbacks;
+        break;
+      }
+      vm.Touch(*r, kFramesPerHuge);
+      allocs.emplace_back(*r, kHugeOrder);
+    }
+    for (uint64_t i = 0; i < base_frames; ++i) {
+      const Result<FrameId> r = vm.Alloc(0, type, core);
+      if (!r.ok()) {
+        return;
+      }
+      vm.Touch(*r, 1);
+      allocs.emplace_back(*r, 0);
+    }
+  }
+
+  uint64_t Bytes() const {
+    uint64_t frames = 0;
+    for (const auto& [frame, order] : allocs) {
+      frames += 1ull << order;
+    }
+    return frames * kFrameSize;
+  }
+
+  void Free(guest::GuestVm& vm, unsigned core) {
+    for (const auto& [frame, order] : allocs) {
+      vm.Free(frame, order, core);
+    }
+  }
+};
+
+// MemoryPool's region grow and free equal the per-frame code on twin VMs
+// (both allocators, installs on first use, page cache under pressure):
+// same frames, clocks, faults, page cache and bandwidth intervals.
+TEST(PoolTrains, RegionsMatchPerFrameReference) {
+  for (const guest::AllocatorKind allocator :
+       {guest::AllocatorKind::kLLFree, guest::AllocatorKind::kBuddy}) {
+    SCOPED_TRACE(allocator == guest::AllocatorKind::kLLFree ? "llfree"
+                                                            : "buddy");
+    guest::GuestConfig config;
+    config.memory_bytes = 256 * kMiB;
+    config.vcpus = 4;
+    config.dma32_bytes = 64 * kMiB;
+    config.allocator = allocator;
+    PoolTwin trains(config);
+    PoolTwin single(config);
+    MemoryPool pool(&trains.vm);
+    trains.vm.CacheAdd(160 * kMiB);
+    single.vm.CacheAdd(160 * kMiB);
+    std::vector<std::pair<uint64_t, PerFrameRegion>> regions;
+    uint64_t fallbacks = 0;
+    Rng rng(allocator == guest::AllocatorKind::kLLFree ? 7 : 8);
+    for (int step = 0; step < 200; ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      const unsigned core = static_cast<unsigned>(rng.Below(4));
+      const double dice = rng.NextDouble();
+      const uint64_t bytes = (1 + rng.Below(24)) * kMiB;
+      const double thp = rng.Chance(0.5) ? 0.0 : (rng.Chance(0.5) ? 0.3 : 1.0);
+      if (dice < 0.35 || regions.empty()) {
+        const AllocType type =
+            rng.Chance(0.8) ? AllocType::kMovable : AllocType::kUnmovable;
+        regions.emplace_back(pool.AllocRegion(bytes, thp, core, type),
+                             PerFrameRegion{});
+        regions.back().second.Grow(single.vm, bytes, thp, core, type);
+      } else if (dice < 0.6) {
+        auto& [id, reference] = regions[rng.Below(regions.size())];
+        pool.GrowRegion(id, bytes, thp, core);
+        reference.Grow(single.vm, bytes, thp, core, AllocType::kMovable);
+      } else if (dice < 0.85) {
+        const size_t i = rng.Below(regions.size());
+        pool.FreeRegion(regions[i].first, core);
+        regions[i].second.Free(single.vm, core);
+        fallbacks += regions[i].second.huge_fallbacks;
+        regions.erase(regions.begin() + static_cast<long>(i));
+      } else {
+        trains.vm.CacheAdd(bytes, core);
+        single.vm.CacheAdd(bytes, core);
+      }
+      ASSERT_EQ(trains.sim.now(), single.sim.now());
+      ASSERT_EQ(trains.vm.fault_time(), single.vm.fault_time());
+      ASSERT_EQ(trains.vm.ept_faults_2m(), single.vm.ept_faults_2m());
+      ASSERT_EQ(trains.vm.ept_faults_4k(), single.vm.ept_faults_4k());
+      ASSERT_EQ(trains.vm.FreeFrames(), single.vm.FreeFrames());
+      ASSERT_EQ(trains.vm.cache_bytes(), single.vm.cache_bytes());
+      ASSERT_EQ(trains.vm.cache_evictions(), single.vm.cache_evictions());
+      ASSERT_EQ(trains.vm.oom_events(), single.vm.oom_events());
+      ASSERT_EQ(trains.monitor.installs(), single.monitor.installs());
+      ASSERT_EQ(trains.bandwidth, single.bandwidth);
+      for (const auto& [id, reference] : regions) {
+        ASSERT_EQ(pool.RegionBytes(id), reference.Bytes());
+      }
+    }
+    for (const auto& [id, reference] : regions) {
+      fallbacks += reference.huge_fallbacks;
+    }
+    EXPECT_GT(fallbacks, 0u);
+    for (FrameId f = 0; f < trains.vm.total_frames(); ++f) {
+      ASSERT_EQ(trains.vm.AllocOrderAt(f), single.vm.AllocOrderAt(f));
+      ASSERT_EQ(trains.vm.ept().IsMapped(f), single.vm.ept().IsMapped(f));
+    }
+  }
 }
 
 TEST_F(WorkloadsTest, PoolFreeAll) {
