@@ -27,30 +27,84 @@ VirtioBalloon::VirtioBalloon(guest::GuestVm* vm, const BalloonConfig& config)
       HA_COUNT("balloon.oom_deflate");
       trace::Span span(trace::Layer::kBackend, "balloon.oom_deflate");
       std::vector<FrameId> base_frames;
-      while (ballooned_frames_ > target_frames && !pages_.empty()) {
-        const Ballooned b = pages_.back();
-        pages_.pop_back();
-        span.AddFrames(1ull << b.order);
-        if (b.order == kHugeOrder) {
-          span.AddHugeFrames(kFramesPerHuge);
-        }
-        hv::Charge(sim_, b.order == kHugeOrder
-                             ? vm_->costs().balloon_deflate_2m_ns
-                             : vm_->costs().balloon_deflate_4k_ns);
-        if (b.order == 0) {
-          base_frames.push_back(b.frame);
-        } else {
-          vm_->Free(b.frame, b.order, config_.driver_cpu);
-        }
-        ballooned_frames_ -= 1ull << b.order;
-        HA_COUNT_N("balloon.deflate_frames", 1ull << b.order);
-        HA_TRACE_EVENT(trace::Category::kBalloon, trace::Op::kDeflate,
-                       b.frame, b.order);
-      }
+      PopEntries(~0ull, target_frames, &span, &base_frames,
+                 [this](unsigned order, uint64_t n) {
+                   hv::Charge(sim_,
+                              n * (order == kHugeOrder
+                                       ? vm_->costs().balloon_deflate_2m_ns
+                                       : vm_->costs().balloon_deflate_4k_ns));
+                 });
       vm_->FreeBatch(base_frames, 0, config_.driver_cpu);
       return true;
     });
   }
+}
+
+void VirtioBalloon::Append(std::vector<Run>* runs, const Run& run) {
+  if (!runs->empty()) {
+    Run& last = runs->back();
+    const int64_t size = int64_t{1} << run.order;
+    const int64_t delta = static_cast<int64_t>(run.first) -
+                          static_cast<int64_t>(last.At(last.count - 1));
+    const bool continues =
+        last.order == run.order &&
+        (last.count == 1 ? delta == size || delta == -size
+                         : delta == last.step) &&
+        (run.count == 1 || run.step == delta);
+    if (continues) {
+      last.step = static_cast<int32_t>(delta);
+      last.count += run.count;
+      return;
+    }
+  }
+  runs->push_back(run);
+}
+
+template <typename ChargeFn>
+uint64_t VirtioBalloon::PopEntries(uint64_t max_entries,
+                                   uint64_t target_frames, trace::Span* span,
+                                   std::vector<FrameId>* base_frames,
+                                   ChargeFn charge) {
+  const bool per_entry = trace::EventsOn();
+  uint64_t popped = 0;
+  while (popped < max_entries && ballooned_frames_ > target_frames &&
+         !pages_.empty()) {
+    Run& run = pages_.back();
+    const unsigned order = run.order;
+    const uint64_t size = 1ull << order;
+    // Each pop first checks that more than the target stays ballooned.
+    const uint64_t take = std::min<uint64_t>(
+        {max_entries - popped, run.count,
+         (ballooned_frames_ - target_frames + size - 1) / size});
+    if (!per_entry) {
+      charge(order, take);
+    }
+    for (uint64_t k = 0; k < take; ++k) {
+      const FrameId frame = run.At(run.count - 1 - k);
+      if (per_entry) {
+        charge(order, 1);
+      }
+      if (order == 0) {
+        base_frames->push_back(frame);
+      } else {
+        vm_->Free(frame, order, config_.driver_cpu);
+      }
+      HA_TRACE_EVENT(trace::Category::kBalloon, trace::Op::kDeflate, frame,
+                     order);
+    }
+    span->AddFrames(take << order);
+    if (order == kHugeOrder) {
+      span->AddHugeFrames(take << order);
+    }
+    ballooned_frames_ -= take << order;
+    HA_COUNT_N("balloon.deflate_frames", take << order);
+    popped += take;
+    run.count -= static_cast<uint32_t>(take);
+    if (run.count == 0) {
+      pages_.pop_back();
+    }
+  }
+  return popped;
 }
 
 uint64_t VirtioBalloon::ballooned_bytes() const {
@@ -113,6 +167,7 @@ bool VirtioBalloon::TryHypercall(uint64_t batch_size) {
     }
     cpu_.host_user_ns += hv::ChargeTraced(sim_, "balloon.hypercall_ns",
                                           vm_->costs().hypercall_ns);
+    ++hypercalls_;
     HA_COUNT("balloon.hypercall");
     HA_TRACE_EVENT(trace::Category::kBalloon, trace::Op::kHypercall,
                    batch_size, 0);
@@ -173,14 +228,15 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames,
     return;
   }
   const sim::Time t0 = sim_->now();
-  std::vector<Ballooned> batch;
+  std::vector<Run> batch;
+  uint64_t entries = 0;  // virtqueue elements in `batch`
   const sim::Time guest_start = sim_->now();
 
   // Guest driver: allocate pages and queue their PFNs (one virtqueue
   // batch per slice).
   {
     trace::Span guest(trace::Layer::kGuest, "balloon.guest_alloc");
-    while (batch.size() < config_.vq_capacity &&
+    while (entries < config_.vq_capacity &&
            ballooned_frames_ < target_frames) {
       if (config_.huge &&
           target_frames - ballooned_frames_ >= kFramesPerHuge) {
@@ -190,7 +246,8 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames,
         if (r.ok()) {
           hv::Charge(sim_, vm_->costs().guest_alloc_2m_ns);
           hv::Charge(sim_, vm_->costs().virtqueue_element_ns);
-          batch.push_back({*r, kHugeOrder});
+          Push(&batch, *r, kHugeOrder);
+          ++entries;
           ballooned_frames_ += kFramesPerHuge;
           HA_COUNT_N("balloon.inflate_frames", kFramesPerHuge);
           HA_TRACE_EVENT(trace::Category::kBalloon, trace::Op::kInflate, *r,
@@ -207,7 +264,7 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames,
       // claims instead of per-frame Get transactions. Costs charge at
       // batch granularity (n per-frame costs, identical virtual time).
       const uint64_t want =
-          std::min<uint64_t>(config_.vq_capacity - batch.size(),
+          std::min<uint64_t>(config_.vq_capacity - entries,
                              target_frames - ballooned_frames_);
       std::vector<FrameId> frames;
       const unsigned got = vm_->AllocBatch(
@@ -219,9 +276,10 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames,
       hv::Charge(sim_, got * (vm_->costs().guest_alloc_4k_ns +
                               vm_->costs().virtqueue_element_ns));
       for (const FrameId f : frames) {
-        batch.push_back({f, 0});
+        Push(&batch, f, 0);
         HA_TRACE_EVENT(trace::Category::kBalloon, trace::Op::kInflate, f, 0);
       }
+      entries += got;
       ballooned_frames_ += got;
       HA_COUNT_N("balloon.inflate_frames", got);
       guest.AddFrames(got);
@@ -238,43 +296,48 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames,
   }
 
   // One hypercall delivers the batch; QEMU discards each entry.
-  if (!TryHypercall(batch.size())) {
+  if (!TryHypercall(entries)) {
     // Hypercall retries exhausted: the guest driver frees the batch back
-    // (the normal deflate path) and the request finishes partial — the
-    // balloon holds exactly the pages of the prior slices. Order-0
-    // entries free in one batched train.
+    // (the normal deflate path) in queue order, and the request finishes
+    // partial — the balloon holds exactly the pages of the prior slices.
+    // Order-0 entries free in one batched train.
     std::vector<FrameId> base_frames;
-    for (const Ballooned& b : batch) {
-      cpu_.guest_ns += hv::Charge(sim_, b.order == kHugeOrder
-                                            ? vm_->costs().guest_free_2m_ns
-                                            : vm_->costs().guest_free_4k_ns);
-      if (b.order == 0) {
-        base_frames.push_back(b.frame);
-      } else {
-        vm_->Free(b.frame, b.order, config_.driver_cpu);
+    for (const Run& run : batch) {
+      cpu_.guest_ns += hv::Charge(
+          sim_, run.count * (run.order == kHugeOrder
+                                 ? vm_->costs().guest_free_2m_ns
+                                 : vm_->costs().guest_free_4k_ns));
+      for (uint64_t k = 0; k < run.count; ++k) {
+        if (run.order == 0) {
+          base_frames.push_back(run.At(k));
+        } else {
+          vm_->Free(run.At(k), run.order, config_.driver_cpu);
+        }
       }
-      ballooned_frames_ -= 1ull << b.order;
+      ballooned_frames_ -= static_cast<uint64_t>(run.count) << run.order;
     }
     vm_->FreeBatch(base_frames, 0, config_.driver_cpu);
     ++outcome_.rollbacks;
     HA_COUNT("balloon.fault_rollback");
-    HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kRollback,
-                   batch.size(), 0);
+    HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kRollback, entries,
+                   0);
     vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
     done();
     return;
   }
   // The batch reached the host: account its virtqueue entries by
   // granularity (a rolled-back batch never counts).
-  for (const Ballooned& b : batch) {
-    if (b.order == kHugeOrder) {
-      ++hypercall_huge_pfns_;
+  for (const Run& run : batch) {
+    if (run.order == kHugeOrder) {
+      hypercall_huge_pfns_ += run.count;
     } else {
-      ++hypercall_base_pfns_;
+      hypercall_base_pfns_ += run.count;
     }
   }
   HostDiscard(batch);
-  pages_.insert(pages_.end(), batch.begin(), batch.end());
+  for (const Run& run : batch) {
+    Append(&pages_, run);
+  }
 
   // The balloon kthread monopolized its vCPU for the whole slice.
   vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
@@ -289,20 +352,19 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames,
   });
 }
 
-void VirtioBalloon::HostDiscard(const std::vector<Ballooned>& batch) {
+void VirtioBalloon::HostDiscard(const std::vector<Run>& batch) {
   // The host-side half of a batch is one EPT-layer span: per-entry
   // madvise syscalls plus the unmap of whatever was still mapped.
   trace::Span span(trace::Layer::kEpt, "balloon.host_discard");
   const sim::Time t0 = sim_->now();
   uint64_t sys_ns = 0;
   uint64_t shootdown_allcpu_ns = 0;
-  // QEMU issues one madvise(DONTNEED) per entry, mapped or not.
-  auto madvise = [&](const Ballooned& b) {
-    sys_ns += vm_->costs().madvise_syscall_ns;
-    ++madvise_calls_;
-    HA_COUNT("balloon.madvise");
-    HA_TRACE_EVENT(trace::Category::kBalloon, trace::Op::kMadvise, b.frame,
-                   1ull << b.order);
+  // QEMU issues one madvise(DONTNEED) per entry, mapped or not: counted
+  // per run, each entry's instant just before its unmap.
+  auto madvise = [&](uint64_t entries) {
+    sys_ns += entries * vm_->costs().madvise_syscall_ns;
+    madvise_calls_ += entries;
+    HA_COUNT_N("balloon.madvise", entries);
   };
   // Retries the unmap of an entry whose first attempt faulted (that
   // attempt is attempt 0). Returns whether the madvise took effect; if
@@ -310,14 +372,14 @@ void VirtioBalloon::HostDiscard(const std::vector<Ballooned>& batch) {
   // freed for it). Nothing to roll back: deflating hands the still-mapped
   // frame straight back.
   const unsigned max_attempts = std::max(1u, config_.retry.max_attempts);
-  auto retry_unmap = [&](const Ballooned& b) {
+  auto retry_unmap = [&](FrameId frame, unsigned order) {
     NoteFault();
     if (vm_->ept().last_injected_kind() == fault::Kind::kPermanent) {
       return false;
     }
     for (unsigned attempt = 1; attempt < max_attempts; ++attempt) {
       ChargeBackoff(attempt - 1);
-      if (vm_->ept().Unmap(b.frame, 1ull << b.order) !=
+      if (vm_->ept().Unmap(frame, 1ull << order) !=
           hv::Ept::kFaultInjected) {
         return true;
       }
@@ -329,20 +391,27 @@ void VirtioBalloon::HostDiscard(const std::vector<Ballooned>& batch) {
     return false;
   };
 
-  std::vector<FrameId> run;
-  for (size_t i = 0; i < batch.size();) {
-    const Ballooned& b = batch[i];
-    if (b.order != 0) {
-      const uint64_t frames = 1ull << b.order;
-      span.AddFrames(frames);
-      if (b.order == kHugeOrder) {
-        span.AddHugeFrames(frames);
+  std::vector<FrameId> frames;
+  for (size_t r = 0; r < batch.size();) {
+    const Run& run = batch[r];
+    if (run.order != 0) {
+      const uint64_t size = 1ull << run.order;
+      span.AddFrames(run.count * size);
+      if (run.order == kHugeOrder) {
+        span.AddHugeFrames(run.count * size);
       }
-      madvise(b);
-      if (vm_->ept().CountMapped(b.frame, frames) > 0) {
-        const uint64_t unmapped = vm_->ept().Unmap(b.frame, frames);
-        if (unmapped != hv::Ept::kFaultInjected || retry_unmap(b)) {
-          if (b.order == kHugeOrder) {
+      for (uint64_t k = 0; k < run.count; ++k) {
+        const FrameId frame = run.At(k);
+        madvise(1);
+        HA_TRACE_EVENT(trace::Category::kBalloon, trace::Op::kMadvise, frame,
+                       size);
+        if (vm_->ept().CountMapped(frame, size) == 0) {
+          continue;
+        }
+        const uint64_t unmapped = vm_->ept().Unmap(frame, size);
+        if (unmapped != hv::Ept::kFaultInjected ||
+            retry_unmap(frame, run.order)) {
+          if (run.order == kHugeOrder) {
             sys_ns += vm_->costs().madvise_per_2m_ns +
                       vm_->costs().tlb_shootdown_ns;
             shootdown_allcpu_ns += vm_->costs().shootdown_allcpu_2m_ns;
@@ -352,28 +421,37 @@ void VirtioBalloon::HostDiscard(const std::vector<Ballooned>& batch) {
           }
         }
       }
-      ++i;
+      ++r;
       continue;
     }
-    // A run of order-0 entries: one EPT call unmaps the run frame by
-    // frame, each entry's madvise just before its unmap, and stops at an
-    // injected fault so that entry takes the retry path.
-    const size_t run_begin = i;
-    run.clear();
-    for (; i < batch.size() && batch[i].order == 0; ++i) {
-      run.push_back(batch[i].frame);
+    // Consecutive order-0 runs: one EPT call unmaps their frames one by
+    // one and stops at an injected fault so that entry takes the retry
+    // path. The madvise instants ride along as the per-entry hook, which
+    // is only passed while trace events are on.
+    frames.clear();
+    for (; r < batch.size() && batch[r].order == 0; ++r) {
+      for (uint64_t k = 0; k < batch[r].count; ++k) {
+        frames.push_back(batch[r].At(k));
+      }
     }
-    span.AddFrames(run.size());
+    span.AddFrames(frames.size());
+    madvise(frames.size());
     uint64_t unmapped = 0;
-    for (size_t pos = 0; pos < run.size();) {
-      const Ballooned* entries = &batch[run_begin + pos];
+    for (size_t pos = 0; pos < frames.size();) {
+      const FrameId* entries = frames.data() + pos;
+      std::function<void(uint64_t)> hook;
+      if (trace::EventsOn()) {
+        hook = [entries](uint64_t k) {
+          HA_TRACE_EVENT(trace::Category::kBalloon, trace::Op::kMadvise,
+                         entries[k], 1);
+        };
+      }
       uint64_t present = 0;
-      pos += vm_->ept().UnmapEach(
-          run.data() + pos, run.size() - pos, &present,
-          [&](uint64_t k) { madvise(entries[k]); });
+      pos += vm_->ept().UnmapEach(entries, frames.size() - pos, &present,
+                                  hook);
       unmapped += present;
-      if (pos < run.size()) {
-        unmapped += retry_unmap(batch[run_begin + pos]) ? 1 : 0;
+      if (pos < frames.size()) {
+        unmapped += retry_unmap(frames[pos], 0) ? 1 : 0;
         ++pos;
       }
     }
@@ -407,41 +485,23 @@ void VirtioBalloon::DeflateSlice(uint64_t target_frames,
     return;
   }
   const sim::Time t0 = sim_->now();
-  unsigned elems = 0;
-  // Order-0 frees accumulate into one end-of-slice FreeBatch (one CAS
-  // per bit-field word); charges and events stay per element, so the
-  // virtual-time totals and span attribution are unchanged.
+  // Per element, QEMU's deflate processing, then the guest returning the
+  // page to its allocator; the memory itself is repopulated lazily on the
+  // next EPT fault. Order-0 frees accumulate into one end-of-slice
+  // FreeBatch.
   std::vector<FrameId> base_frames;
-  while (elems < config_.vq_capacity && ballooned_frames_ > target_frames &&
-         !pages_.empty()) {
-    const Ballooned b = pages_.back();
-    pages_.pop_back();
-    // Per-element deflate processing (QEMU side) ...
-    const uint64_t deflate_ns = b.order == kHugeOrder
-                                    ? vm_->costs().balloon_deflate_2m_ns
-                                    : vm_->costs().balloon_deflate_4k_ns;
-    cpu_.host_user_ns += hv::ChargeSpan(sim_, &slice, deflate_ns);
-    // ... and the guest returning the page to its allocator. The memory
-    // itself is repopulated lazily on the next EPT fault.
-    const uint64_t free_ns = b.order == kHugeOrder
-                                 ? vm_->costs().guest_free_2m_ns
-                                 : vm_->costs().guest_free_4k_ns;
-    cpu_.guest_ns += hv::ChargeSpan(sim_, &guest, free_ns);
-    if (b.order == 0) {
-      base_frames.push_back(b.frame);
-    } else {
-      vm_->Free(b.frame, b.order, config_.driver_cpu);
-    }
-    ballooned_frames_ -= 1ull << b.order;
-    guest.AddFrames(1ull << b.order);
-    if (b.order == kHugeOrder) {
-      guest.AddHugeFrames(kFramesPerHuge);
-    }
-    HA_COUNT_N("balloon.deflate_frames", 1ull << b.order);
-    HA_TRACE_EVENT(trace::Category::kBalloon, trace::Op::kDeflate, b.frame,
-                   b.order);
-    ++elems;
-  }
+  PopEntries(config_.vq_capacity, target_frames, &guest, &base_frames,
+             [&](unsigned order, uint64_t n) {
+               const bool huge = order == kHugeOrder;
+               cpu_.host_user_ns += hv::ChargeSpan(
+                   sim_, &slice,
+                   n * (huge ? vm_->costs().balloon_deflate_2m_ns
+                             : vm_->costs().balloon_deflate_4k_ns));
+               cpu_.guest_ns += hv::ChargeSpan(
+                   sim_, &guest,
+                   n * (huge ? vm_->costs().guest_free_2m_ns
+                             : vm_->costs().guest_free_4k_ns));
+             });
   vm_->FreeBatch(base_frames, 0, config_.driver_cpu);
   vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
 
@@ -475,7 +535,7 @@ void VirtioBalloon::ReportCycle() {
   const uint64_t block_frames = 1ull << order;
 
   // Pull one batch (REPORTING_CAPACITY blocks) from the buddy free lists.
-  std::vector<Ballooned> batch;
+  std::vector<FrameId> batch;
   std::vector<guest::Zone*> zone_of;
   for (guest::Zone& zone : vm_->zones()) {
     if (zone.buddy == nullptr) {
@@ -488,7 +548,7 @@ void VirtioBalloon::ReportCycle() {
       }
       cpu_.guest_ns += hv::Charge(sim_, vm_->costs().guest_alloc_4k_ns +
                                             vm_->costs().virtqueue_element_ns);
-      batch.push_back({zone.start + *local, order});
+      batch.push_back(zone.start + *local);
       zone_of.push_back(&zone);
       span.AddFrames(block_frames);
       if (order == kHugeOrder) {
@@ -512,7 +572,7 @@ void VirtioBalloon::ReportCycle() {
     for (size_t i = 0; i < batch.size(); ++i) {
       guest::Zone& zone = *zone_of[i];
       const auto err = zone.buddy->Free(config_.driver_cpu,
-                                        batch[i].frame - zone.start, order);
+                                        batch[i] - zone.start, order);
       HA_CHECK(!err.has_value());
       cpu_.guest_ns += hv::Charge(sim_, vm_->costs().guest_free_4k_ns);
     }
@@ -523,18 +583,21 @@ void VirtioBalloon::ReportCycle() {
     sim_->After(config_.reporting_delay, [this] { ReportCycle(); });
     return;
   }
-  ++hypercalls_;
   if (order == kHugeOrder) {
     hypercall_huge_pfns_ += batch.size();
   } else {
     hypercall_base_pfns_ += batch.size();
   }
-  HostDiscard(batch);
+  std::vector<Run> runs;
+  for (const FrameId block : batch) {
+    Push(&runs, block, order);
+  }
+  HostDiscard(runs);
 
   // Hand the blocks back to the allocator, remembering they are reported.
   for (size_t i = 0; i < batch.size(); ++i) {
     guest::Zone& zone = *zone_of[i];
-    const FrameId local = batch[i].frame - zone.start;
+    const FrameId local = batch[i] - zone.start;
     zone.buddy->MarkReported(local, order);
     const auto err = zone.buddy->Free(config_.driver_cpu, local, order);
     HA_CHECK(!err.has_value());

@@ -9,6 +9,9 @@
 //    per-page host cost that makes 4 KiB ballooning slow (§5.3).
 //  * Deflate: PFNs are returned to the guest allocator one by one; the
 //    memory is repopulated lazily on the next EPT fault.
+// The balloon holds its entries as runs of adjacent frames, and its
+// inflate, host discard and deflate work run by run; costs, counters,
+// events and fault polls stay those of the per-page protocol.
 //
 // Auto mode (free-page reporting): every REPORTING_DELAY, up to
 // REPORTING_CAPACITY free blocks of REPORTING_ORDER are pulled from the
@@ -74,6 +77,8 @@ class VirtioBalloon : public hv::Deflator {
 
   uint64_t ballooned_bytes() const;
   uint64_t oom_deflations() const { return oom_deflations_; }
+  // Balloon hypercalls that reached the host: inflate batches and
+  // free-page reports.
   uint64_t total_hypercalls() const { return hypercalls_; }
   uint64_t total_madvise_calls() const { return madvise_calls_; }
   uint64_t reported_bytes_total() const { return reported_bytes_; }
@@ -98,17 +103,46 @@ class VirtioBalloon : public hv::Deflator {
   uint64_t fault_retries() const { return fault_retries_; }
 
  private:
-  struct Ballooned {
-    FrameId frame;
-    unsigned order;
+  // `count` balloon entries of 2^order frames each, in the order they
+  // were ballooned: first, first + step, ..., first + (count - 1) * step
+  // (step is ±2^order once count > 1). One per-CPU refill of 4 KiB
+  // frames is one run: 24 bytes instead of 16 per frame.
+  struct Run {
+    FrameId first;
+    uint32_t count;
+    uint8_t order;
+    int32_t step;
+
+    FrameId At(uint64_t k) const {
+      return first + static_cast<FrameId>(static_cast<int64_t>(k) * step);
+    }
   };
+
+  // Appends `run` to `runs`, extending the last run when `run` continues
+  // it.
+  static void Append(std::vector<Run>* runs, const Run& run);
+  static void Push(std::vector<Run>* runs, FrameId frame, unsigned order) {
+    Append(runs, Run{frame, 1, static_cast<uint8_t>(order), 0});
+  }
 
   void InflateSlice(uint64_t target_frames, std::function<void()> done);
   void DeflateSlice(uint64_t target_frames, std::function<void()> done);
   void ReportCycle();
 
+  // Pops up to `max_entries` entries off the balloon, newest first, while
+  // more than `target_frames` frames stay ballooned, and hands each back
+  // to the guest: order-0 frames go to `base_frames` (for the caller's
+  // one FreeBatch), larger ones are freed at once. `charge(order, n)`
+  // charges the per-entry costs of n entries: entry by entry while trace
+  // events are on (each instant carries its clock), else once per piece
+  // of a run. Counts the frames into `span`; returns the entries popped.
+  template <typename ChargeFn>
+  uint64_t PopEntries(uint64_t max_entries, uint64_t target_frames,
+                      trace::Span* span, std::vector<FrameId>* base_frames,
+                      ChargeFn charge);
+
   // Host-side processing of one batch of reclaimed blocks.
-  void HostDiscard(const std::vector<Ballooned>& batch);
+  void HostDiscard(const std::vector<Run>& batch);
 
   // Issues the balloon hypercall (charge + counter + trace event),
   // retrying injected transient faults with backoff. Returns false when
@@ -123,7 +157,7 @@ class VirtioBalloon : public hv::Deflator {
   BalloonConfig config_;
   sim::Simulation* sim_;
 
-  std::vector<Ballooned> pages_;  // current balloon contents
+  std::vector<Run> pages_;  // current balloon contents, a LIFO stack
   uint64_t ballooned_frames_ = 0;
   bool busy_ = false;
   bool auto_running_ = false;

@@ -1,6 +1,7 @@
 #include "src/buddy/buddy.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -32,7 +33,7 @@ Buddy::Buddy(uint64_t frames, const Config& config)
   HA_CHECK(frames < kNil);  // frame ids must fit the 32-bit list links
 
   state_.assign(frames, kFreeTail);
-  desc_.resize(frames);
+  desc_ = std::make_unique_for_overwrite<PageDesc[]>(frames);
   pageblock_type_.assign(frames / kFramesPerHuge, MigrateType::kMovable);
   for (auto& per_order : heads_) {
     per_order.fill(kNil);
@@ -225,7 +226,37 @@ void Buddy::FreeCore(FrameId frame, unsigned order) {
 }
 
 void Buddy::RefillPcp(std::vector<uint32_t>& cache, MigrateType type) {
-  for (unsigned i = 0; i < config_.pcp_batch; ++i) {
+  // With every `type` list below order log2(batch) empty, `batch` single
+  // AllocCore(0) calls split the smallest larger block and then consume
+  // its first `batch` frames in ascending order, leaving exactly the
+  // upper halves that SplitTo(.., to_order = log2(batch)) pushes. Carve
+  // that block in one step.
+  const unsigned batch = config_.pcp_batch;
+  const unsigned run_order = static_cast<unsigned>(std::countr_zero(batch));
+  if (std::has_single_bit(batch) && run_order <= kMaxBuddyOrder) {
+    const unsigned t = static_cast<unsigned>(type);
+    unsigned o = 0;
+    while (o < run_order && heads_[o][t] == kNil) {
+      ++o;
+    }
+    if (o == run_order) {
+      for (; o <= kMaxBuddyOrder; ++o) {
+        const uint32_t frame = ListPop(o, type);
+        if (frame == kNil) {
+          continue;
+        }
+        SplitTo(frame, o, run_order, type);
+        MarkAllocated(frame, run_order);
+        ClearReported(frame, run_order);
+        for (uint32_t i = 0; i < batch; ++i) {
+          cache.push_back(frame + i);
+        }
+        pcp_frames_ += batch;
+        return;
+      }
+    }
+  }
+  for (unsigned i = 0; i < batch; ++i) {
     const std::optional<FrameId> f = AllocCore(0, type);
     if (!f.has_value()) {
       break;
@@ -316,22 +347,47 @@ std::optional<AllocError> Buddy::Free(unsigned core, FrameId frame,
 
   if (order == 0 && config_.pcp_enabled) {
     HA_CHECK(core < pcp_.size());
-    const MigrateType mt = PageblockType(frame);
-    auto& cache = pcp_[core].lists[static_cast<unsigned>(mt)];
-    cache.push_back(static_cast<uint32_t>(frame));
-    ++pcp_frames_;
-    if (cache.size() > 2 * config_.pcp_batch) {
-      for (unsigned i = 0; i < config_.pcp_batch; ++i) {
-        FreeCore(cache.back(), 0);
-        cache.pop_back();
-        --pcp_frames_;
-      }
-    }
+    PcpFree(pcp_[core], static_cast<uint32_t>(frame));
     return std::nullopt;
   }
 
   FreeCore(frame, order);
   return std::nullopt;
+}
+
+std::optional<AllocError> Buddy::FreeRun(unsigned core,
+                                         std::span<const FrameId> frames) {
+  if (!config_.pcp_enabled) {
+    for (const FrameId frame : frames) {
+      if (const auto err = Free(core, frame, 0)) {
+        return err;
+      }
+    }
+    return std::nullopt;
+  }
+  HA_CHECK(core < pcp_.size());
+  Pcp& pcp = pcp_[core];
+  for (const FrameId frame : frames) {
+    // Free's checks for an order-0 block: in range and allocated.
+    if (frame >= frames_ || state_[frame] != kAllocated) {
+      return AllocError::kInvalid;
+    }
+    PcpFree(pcp, static_cast<uint32_t>(frame));
+  }
+  return std::nullopt;
+}
+
+void Buddy::PcpFree(Pcp& pcp, uint32_t frame) {
+  auto& cache = pcp.lists[static_cast<unsigned>(PageblockType(frame))];
+  cache.push_back(frame);
+  ++pcp_frames_;
+  if (cache.size() > 2 * config_.pcp_batch) {
+    for (unsigned i = 0; i < config_.pcp_batch; ++i) {
+      FreeCore(cache.back(), 0);
+      cache.pop_back();
+      --pcp_frames_;
+    }
+  }
 }
 
 void Buddy::DrainPcp() {

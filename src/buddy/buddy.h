@@ -22,7 +22,9 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/base/result.h"
@@ -64,6 +66,12 @@ class Buddy {
   // many it claimed.
   unsigned AllocBatch(unsigned core, unsigned order, unsigned count,
                       AllocType type, std::vector<FrameId>* out);
+
+  // A run of order-0 frees: exactly the effect of Free(core, f, 0) for
+  // each frame in turn (PCP pushes and drains included), stopping at the
+  // first invalid frame with its error.
+  std::optional<AllocError> FreeRun(unsigned core,
+                                    std::span<const FrameId> frames);
 
   // Flushes all per-CPU caches back into the buddy lists (the guest's
   // reaction to memory pressure / the hypervisor's cache purge).
@@ -135,6 +143,8 @@ class Buddy {
   bool Validate() const;
 
  private:
+  friend class BuddyTestPeer;
+
   // Per-frame state byte: kAllocated (in use or PCP-cached), kFreeTail
   // (interior of a free block), or a free block's head: kFreeHead | the
   // migrate type of the list it is on << 4 | its order.
@@ -153,10 +163,12 @@ class Buddy {
     return static_cast<MigrateType>((state >> 4) & 1);
   }
 
-  // Free-list links, valid for free heads only.
+  // Free-list links, valid for free heads only: ListPush writes both
+  // before anything reads them, so the array starts uninitialised (its
+  // pages are only faulted in where blocks are split).
   struct PageDesc {
-    uint32_t prev = kNil;
-    uint32_t next = kNil;
+    uint32_t prev;
+    uint32_t next;
   };
 
   static constexpr uint32_t kNil = 0xffffffffu;
@@ -193,6 +205,10 @@ class Buddy {
   void FreeCore(FrameId frame, unsigned order);
   // Tops up an empty per-CPU list with up to pcp_batch order-0 frames.
   void RefillPcp(std::vector<uint32_t>& cache, MigrateType type);
+  // Pushes the allocated order-0 `frame` onto its pageblock type's list
+  // of `pcp`, draining pcp_batch frames from the hot end when the list
+  // exceeds twice that.
+  void PcpFree(Pcp& pcp, uint32_t frame);
 
   // Splits the detached free block `frame` of `from_order` down to
   // `to_order`, pushing the upper halves onto `type` lists; the caller
@@ -217,7 +233,7 @@ class Buddy {
   uint64_t frames_;
   Config config_;
   std::vector<uint8_t> state_;  // one state byte per frame
-  std::vector<PageDesc> desc_;
+  std::unique_ptr<PageDesc[]> desc_;
   std::vector<MigrateType> pageblock_type_;
   std::array<std::array<uint32_t, kNumMigrateTypes>, kMaxBuddyOrder + 1>
       heads_;

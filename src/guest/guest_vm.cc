@@ -401,15 +401,37 @@ void GuestVm::FreeBatch(std::span<const FrameId> frames, unsigned order,
     return;
   }
   // Bucket LLFree-zone frames (as zone-local ids) for one PutBatch per
-  // zone; everything else takes the single-frame path.
+  // zone. Order-0 frees into a buddy zone go in place as runs. Larger
+  // orders, and buddy frees under an aux bridge (whose occupancy check
+  // follows each single free), take the single-frame path.
   std::vector<std::vector<FrameId>> buckets(zones_.size());
-  for (const FrameId f : frames) {
+  for (size_t i = 0; i < frames.size();) {
+    const FrameId f = frames[i];
     HA_CHECK(f < total_frames_);
     size_t zi = 0;
     while (!zones_[zi].Contains(f)) {
       ++zi;
     }
     Zone& zone = zones_[zi];
+    if (zone.buddy != nullptr && order == 0 && aux_ == nullptr) {
+      // A run of frees into this zone, in pieces of up to 64: each
+      // frame's bookkeeping, then the piece enters the PCP as that many
+      // Frees would.
+      std::array<FrameId, 64> run{};
+      size_t n = 0;
+      for (; n < run.size() && i < frames.size() && zone.Contains(frames[i]);
+           ++i) {
+        HA_CHECK((alloc_order_[frames[i]] & 0x7fu) == 1);
+        alloc_order_[frames[i]] = 0;
+        run[n++] = frames[i] - zone.start;
+      }
+      approx_free_frames_ += n;
+      const auto err =
+          zone.buddy->FreeRun(core, std::span<const FrameId>(run.data(), n));
+      HA_CHECK(!err.has_value());
+      continue;
+    }
+    ++i;
     if (zone.llfree == nullptr) {
       Free(f, order, core);
       continue;

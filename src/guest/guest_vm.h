@@ -185,7 +185,9 @@ class GuestVm {
 
   // FreeBatch groups frames by zone and bit-field word (PutBatch) so a
   // deflate-style free train costs one CAS per word instead of one full
-  // Put transaction per frame. Per-frame bookkeeping is preserved.
+  // Put transaction per frame. In buddy zones, order-0 frames free in
+  // runs (Buddy::FreeRun) with the effect of one Free per frame. Per-frame
+  // bookkeeping is preserved.
   void FreeBatch(std::span<const FrameId> frames, unsigned order,
                  unsigned core = 0);
 

@@ -121,9 +121,9 @@ class ScopedTrace {
 
 // RAII span. Arms only when the tracer is enabled and a trace id is in
 // scope; parents itself under the innermost open span on this thread
-// (or the context's parent_span when it is the first). Charges made via
-// AttributeCharge / hv::ChargeTraced while this span is innermost
-// accumulate into charge_ns.
+// when that span is of the same trace, else under the context's
+// parent_span. Charges made via AttributeCharge / hv::ChargeTraced while
+// this span is innermost accumulate into charge_ns.
 class Span {
  public:
   Span(Layer layer, const char* name) {
@@ -140,10 +140,13 @@ class Span {
     record_.name = name;
     record_.begin_vns = VirtualNow();
     record_.begin_wall_ns = WallNowNs();
+    // The innermost open span is the parent only within one trace: under
+    // a ScopedRoot it belongs to the caller's trace.
     Span*& innermost = Innermost();
-    record_.parent_id =
-        innermost != nullptr ? innermost->record_.span_id
-                             : context.parent_span;
+    record_.parent_id = innermost != nullptr &&
+                                innermost->record_.trace_id == context.trace_id
+                            ? innermost->record_.span_id
+                            : context.parent_span;
     prev_ = innermost;
     innermost = this;
   }

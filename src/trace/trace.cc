@@ -10,13 +10,6 @@
 
 namespace hyperalloc::trace {
 
-unsigned ThreadShardIndex() {
-  static std::atomic<unsigned> next{0};
-  thread_local const unsigned index =
-      next.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return index;
-}
-
 // ----------------------------------------------------------------------
 // CounterRegistry
 // ----------------------------------------------------------------------
@@ -256,12 +249,6 @@ struct SpanThreadHandle {
     }
   }
 };
-
-SpanTracer& SpanTracer::Global() {
-  // Leaked singleton: must outlive every thread's SpanThreadHandle.
-  static SpanTracer* global = new SpanTracer;
-  return *global;
-}
 
 SpanTracer::Impl* SpanTracer::impl() {
   static Impl* impl = new Impl;

@@ -49,8 +49,13 @@ namespace hyperalloc::trace {
 // striped across shards to avoid false sharing under concurrent updates.
 inline constexpr unsigned kShards = 8;
 
-// Stable per-thread shard index.
-unsigned ThreadShardIndex();
+// Stable per-thread shard index. Inline: every HA_COUNT calls it.
+inline unsigned ThreadShardIndex() {
+  static std::atomic<unsigned> next{0};
+  thread_local const unsigned index =
+      next.fetch_add(1, std::memory_order_relaxed) % kShards;
+  return index;
+}
 
 // A named monotonic counter. Increments are lock-free relaxed atomics on
 // a per-thread-stripe cache line; Value() sums the shards (approximate
@@ -281,7 +286,12 @@ struct SpanRecord {
 // instrumentation (span.h types, HA_TRACE_EVENT) compiles out.
 class SpanTracer {
  public:
-  static SpanTracer& Global();
+  // Inline, so the off check of HA_TRACE_EVENT stays one relaxed load.
+  static SpanTracer& Global() {
+    // Leaked singleton: must outlive every thread's SpanThreadHandle.
+    static SpanTracer* global = new SpanTracer;
+    return *global;
+  }
 
   // Records spans (span.h) and telemetry markers.
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
@@ -358,6 +368,16 @@ class SpanTracer {
   Impl* impl();
   const Impl* impl() const;
 };
+
+// Whether HA_TRACE_EVENT records anything: for callers that keep a
+// per-entry loop only so each instant carries its own clock reading.
+inline bool EventsOn() {
+#if HYPERALLOC_TRACE
+  return SpanTracer::Global().events_enabled();
+#else
+  return false;
+#endif
+}
 
 // The event tracer's former name; perfbench still sets the fallback
 // clock through it (`Tracer::Global().SetTimeSource`).

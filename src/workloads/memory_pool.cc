@@ -48,7 +48,7 @@ void MemoryPool::GrowRegionTyped(uint64_t region, uint64_t bytes,
         order, static_cast<unsigned>(count),
         order == kHugeOrder ? AllocType::kHuge : type, core, &allocs.frames);
     allocs.orders.resize(allocs.frames.size(), static_cast<uint8_t>(order));
-    if (track_index_) {
+    if (index_built_) {
       for (size_t i = first; i < allocs.frames.size(); ++i) {
         index_[allocs.frames[i]] = {region, i};
       }
@@ -85,7 +85,7 @@ void MemoryPool::FreeRegion(uint64_t region, unsigned core) {
     }
     const std::span<const FrameId> run(allocs.frames.data() + i, end - i);
     vm_->FreeEach(run, order, core);
-    if (track_index_) {
+    if (index_built_) {
       for (const FrameId frame : run) {
         index_.erase(frame);
       }
@@ -122,6 +122,9 @@ uint64_t MemoryPool::RegionBytes(uint64_t region) const {
 void MemoryPool::OnFrameMigrated(FrameId old_head, FrameId new_head,
                                  unsigned order) {
   HA_CHECK(track_index_);  // migration requires the frame index
+  if (!index_built_) {
+    BuildIndex();
+  }
   const auto it = index_.find(old_head);
   if (it == index_.end()) {
     return;  // not ours (page cache or another owner)
@@ -133,6 +136,18 @@ void MemoryPool::OnFrameMigrated(FrameId old_head, FrameId new_head,
   allocs.frames[idx] = new_head;
   index_.erase(it);
   index_[new_head] = {region, idx};
+}
+
+void MemoryPool::BuildIndex() {
+  index_built_ = true;
+  for (const auto& [region, allocs] : regions_) {
+    // `orders` is sized after each grow's allocations: a migration inside
+    // a grow indexes only the entries that grow had before it began, as
+    // an index maintained from the start would.
+    for (size_t i = 0; i < allocs.orders.size(); ++i) {
+      index_[allocs.frames[i]] = {region, i};
+    }
+  }
 }
 
 }  // namespace hyperalloc::workloads

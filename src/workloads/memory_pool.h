@@ -1,9 +1,12 @@
 // Region-based memory management for workloads.
 //
 // Workload phases allocate "regions" (an application's working set) from
-// the guest allocator, touch them, and free them later. The pool keeps a
-// frame index so that virtio-mem's page migration can relocate frames
-// without the workload losing track of them.
+// the guest allocator, touch them, and free them later. So that
+// virtio-mem's page migration can relocate frames without the workload
+// losing track of them, the pool keeps a frame index. It is built from
+// the regions on the first migration and maintained from then on: a
+// guest that never migrates a frame never pays a hash-map entry per
+// allocation.
 #pragma once
 
 #include <cstdint>
@@ -20,9 +23,9 @@ class MemoryPool : public guest::MigrationListener {
   explicit MemoryPool(guest::GuestVm* vm);
   ~MemoryPool() override = default;
 
-  // Disables the frame index (a per-allocation hash-map entry). Only
-  // valid when the guest cannot migrate frames (i.e. no virtio-mem):
-  // saves noticeable time in the large footprint experiments.
+  // Declares that the guest cannot migrate frames (i.e. no virtio-mem):
+  // a migration reported afterwards fails a check instead of building
+  // the frame index.
   void DisableMigrationTracking() { track_index_ = false; }
 
   // Allocates roughly `bytes` (rounded up to whole allocations), touching
@@ -57,13 +60,17 @@ class MemoryPool : public guest::MigrationListener {
 
   void GrowRegionTyped(uint64_t region, uint64_t bytes, double thp_fraction,
                        unsigned core, AllocType type);
+  // Builds `index_` from the regions (first migration only).
+  void BuildIndex();
 
   guest::GuestVm* vm_;
   bool track_index_ = true;
   uint64_t next_region_ = 1;
   uint64_t total_frames_ = 0;
   std::unordered_map<uint64_t, Region> regions_;
-  // frame -> (region id, index into its allocation vectors)
+  // frame -> (region id, index into its allocation vectors); empty and
+  // unmaintained until `index_built_`.
+  bool index_built_ = false;
   std::unordered_map<FrameId, std::pair<uint64_t, size_t>> index_;
 };
 

@@ -349,6 +349,146 @@ TEST_F(BalloonTest, UnmapFaultEventsStayPerEntry) {
 #endif  // HYPERALLOC_TRACE
 }
 
+// Every inflate slice that reaches the host is one hypercall: a manual
+// inflate issues ceil(frames / vq_capacity) of them.
+TEST_F(BalloonTest, InflateCountsOneHypercallPerBatch) {
+  for (const unsigned capacity : {256u, 100u}) {
+    SCOPED_TRACE(capacity);
+    BalloonConfig config;
+    config.vq_capacity = capacity;
+    Init(config);
+    SetLimit(kVmBytes - 16 * kMiB);
+    const uint64_t frames = FramesForBytes(16 * kMiB);
+    EXPECT_EQ(balloon_->total_hypercalls(),
+              (frames + capacity - 1) / capacity);
+  }
+}
+
+// The 4 KiB balloon protocol frame by frame, on a VM of its own: each
+// inflate slice claims up to vq_capacity frames with one AllocBatch and
+// discards them one by one; deflate hands back the newest frames first,
+// one by one. Accumulates the virtual time the protocol charges.
+struct BalloonModel {
+  guest::GuestVm* vm;
+  unsigned capacity;
+  std::vector<FrameId> stack;
+  uint64_t madvise_calls = 0;
+  sim::Time charged = 0;
+
+  void SetBallooned(uint64_t frames) {
+    const hv::CostModel& c = vm->costs();
+    while (stack.size() < frames) {
+      std::vector<FrameId> got;
+      vm->AllocBatch(0,
+                     static_cast<unsigned>(std::min<uint64_t>(
+                         capacity, frames - stack.size())),
+                     AllocType::kMovable, 0, &got,
+                     /*allow_oom_notify=*/false);
+      ASSERT_FALSE(got.empty());
+      charged += got.size() * (c.guest_alloc_4k_ns +
+                               c.virtqueue_element_ns + c.madvise_syscall_ns) +
+                 c.hypercall_ns;
+      for (const FrameId f : got) {
+        if (vm->ept().IsMapped(f)) {
+          vm->ept().Unmap(f, 1);
+          charged += c.madvise_per_4k_ns;
+        }
+        stack.push_back(f);
+      }
+      madvise_calls += got.size();
+    }
+    while (stack.size() > frames) {
+      vm->Free(stack.back(), 0, 0);
+      stack.pop_back();
+      charged += c.balloon_deflate_4k_ns + c.guest_free_4k_ns;
+    }
+  }
+};
+
+// An inflate / deflate / inflate cycle whose targets split the balloon's
+// runs leaves the guest exactly as the per-frame protocol does: the same
+// frames ballooned and mapped, the same clock and madvise count, and the
+// same frames for the guest's next allocations. With trace events on,
+// deflate charges entry by entry and each deflate instant carries its
+// own clock; the outcome is the same.
+TEST_F(BalloonTest, RunCycleMatchesPerFrameProtocol) {
+  const uint64_t targets[] = {10243, 5001, 8000, 31};
+  for (const bool events : {false, true}) {
+#if !HYPERALLOC_TRACE
+    if (events) {
+      continue;
+    }
+#endif
+    SCOPED_TRACE(events ? "events on" : "events off");
+    Init();
+    TouchAll();
+    sim::Simulation model_sim;
+    hv::HostMemory model_host(FramesForBytes(kGiB));
+    guest::GuestVm model_vm(&model_sim, &model_host, vm_->config());
+    model_vm.Touch(0, model_vm.total_frames());
+    BalloonModel model{&model_vm, BalloonConfig{}.vq_capacity, {}};
+    trace::SpanTracer& tracer = trace::SpanTracer::Global();
+    if (events) {
+      tracer.SetCapacity(1 << 18);
+      tracer.ResetForTest();
+      tracer.SetTimeSource(sim_.get());
+      tracer.SetEventsEnabled(true);
+    }
+    const sim::Time start = sim_->now();
+    for (const uint64_t target : targets) {
+      SetLimit(kVmBytes - target * kFrameSize);
+      ASSERT_NO_FATAL_FAILURE(model.SetBallooned(target));
+      ASSERT_EQ(balloon_->ballooned_bytes(), target * kFrameSize);
+      ASSERT_EQ(sim_->now() - start, model.charged) << target;
+      ASSERT_EQ(balloon_->total_madvise_calls(), model.madvise_calls);
+      ASSERT_EQ(vm_->FreeFrames(), model_vm.FreeFrames());
+      ASSERT_EQ(vm_->rss_bytes(), model_vm.rss_bytes());
+      for (FrameId f = 0; f < vm_->total_frames(); ++f) {
+        ASSERT_EQ(vm_->AllocOrderAt(f), model_vm.AllocOrderAt(f)) << f;
+        ASSERT_EQ(vm_->ept().IsMapped(f), model_vm.ept().IsMapped(f)) << f;
+      }
+    }
+    std::vector<trace::SpanRecord> records;
+    if (events) {
+      tracer.SetEventsEnabled(false);
+      tracer.SetTimeSource(nullptr);
+      records = tracer.Drain();
+      EXPECT_EQ(tracer.dropped_spans(), 0u);
+      tracer.SetCapacity(1 << 16);
+    }
+    // The guest's next allocations see the same allocator.
+    for (int i = 0; i < 3000; ++i) {
+      const Result<FrameId> a = vm_->Alloc(0, AllocType::kMovable, 0);
+      const Result<FrameId> b = model_vm.Alloc(0, AllocType::kMovable, 0);
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      ASSERT_EQ(*a, *b);
+    }
+    if (!events) {
+      continue;
+    }
+    // One instant per deflated entry, newest first, each a deflate and a
+    // guest free later than the previous one within its slice.
+    const uint64_t step = vm_->costs().balloon_deflate_4k_ns +
+                          vm_->costs().guest_free_4k_ns;
+    std::vector<const trace::SpanRecord*> deflates;
+    for (const trace::SpanRecord& r : records) {
+      if (r.category == trace::Category::kBalloon &&
+          r.op == trace::Op::kDeflate) {
+        deflates.push_back(&r);
+      }
+    }
+    ASSERT_EQ(deflates.size(), (10243u - 5001u) + (8000u - 31u));
+    uint64_t spaced = 0;
+    for (size_t i = 1; i < deflates.size(); ++i) {
+      spaced += deflates[i]->begin_vns - deflates[i - 1]->begin_vns == step
+                    ? 1
+                    : 0;
+    }
+    EXPECT_GT(spaced, deflates.size() * 9 / 10);
+  }
+}
+
 TEST_F(BalloonTest, NotDmaSafeRejectsVfio) {
   sim::Simulation sim;
   hv::HostMemory host(FramesForBytes(kGiB));

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <vector>
 
@@ -9,6 +10,80 @@
 #include "src/buddy/buddy.h"
 
 namespace hyperalloc::buddy {
+
+// Per-frame reference paths the run paths replace, and a view of the
+// list order they must preserve.
+class BuddyTestPeer {
+ public:
+  // Alloc(core, 0, type) with the per-frame PCP refill: up to pcp_batch
+  // single AllocCore(0) calls.
+  static Result<FrameId> SingleRefillAlloc(Buddy& b, unsigned core,
+                                           AllocType type) {
+    const MigrateType mt = ToMigrateType(type);
+    auto& cache = b.pcp_[core].lists[static_cast<unsigned>(mt)];
+    if (cache.empty()) {
+      for (unsigned i = 0; i < b.config_.pcp_batch; ++i) {
+        const std::optional<FrameId> f = b.AllocCore(0, mt);
+        if (!f.has_value()) {
+          break;
+        }
+        cache.push_back(static_cast<uint32_t>(*f));
+        ++b.pcp_frames_;
+      }
+    }
+    if (cache.empty()) {
+      return AllocError::kNoMemory;
+    }
+    const uint32_t frame = cache.back();
+    cache.pop_back();
+    --b.pcp_frames_;
+    return static_cast<FrameId>(frame);
+  }
+
+  // Whether a refill of `type` now would carve one block: pcp_batch is a
+  // power of two and every `type` list below its order is empty.
+  static bool RefillCarves(const Buddy& b, AllocType type) {
+    const unsigned batch = b.config_.pcp_batch;
+    if (!std::has_single_bit(batch)) {
+      return false;
+    }
+    const unsigned t = static_cast<unsigned>(ToMigrateType(type));
+    for (unsigned o = 0; o < static_cast<unsigned>(std::countr_zero(batch));
+         ++o) {
+      if (b.heads_[o][t] != Buddy::kNil) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  static bool PcpEmpty(const Buddy& b, unsigned core, AllocType type) {
+    return b.pcp_[core]
+        .lists[static_cast<unsigned>(ToMigrateType(type))]
+        .empty();
+  }
+
+  // Every free list and PCP list, in list order.
+  static std::vector<std::vector<uint32_t>> Lists(const Buddy& b) {
+    std::vector<std::vector<uint32_t>> lists;
+    for (unsigned o = 0; o <= kMaxBuddyOrder; ++o) {
+      for (unsigned t = 0; t < kNumMigrateTypes; ++t) {
+        lists.emplace_back();
+        for (uint32_t f = b.heads_[o][t]; f != Buddy::kNil;
+             f = b.desc_[f].next) {
+          lists.back().push_back(f);
+        }
+      }
+    }
+    for (const Buddy::Pcp& pcp : b.pcp_) {
+      for (const auto& cache : pcp.lists) {
+        lists.push_back(cache);
+      }
+    }
+    return lists;
+  }
+};
+
 namespace {
 
 constexpr uint64_t kFrames = 16384;  // 64 MiB
@@ -501,6 +576,142 @@ TEST(BuddyTest, BatchTrainsMatchSingles) {
       EXPECT_EQ(batch.FreeBlocksOfOrder(o), single.FreeBlocksOfOrder(o));
     }
     EXPECT_EQ(batch.FreeAlignedHugeRanges(), single.FreeAlignedHugeRanges());
+  }
+}
+
+TEST(Buddy, FreeRunStopsAtTheFirstInvalidFrame) {
+  Buddy::Config config;
+  Buddy buddy(kFrames, config);
+  std::vector<FrameId> frames;
+  for (int i = 0; i < 3; ++i) {
+    frames.push_back(*buddy.Alloc(0, 0, AllocType::kMovable));
+  }
+  const uint64_t free_before = buddy.FreeFrames();
+  const std::vector<FrameId> run = {frames[0], kFrames + 5, frames[1]};
+  EXPECT_EQ(buddy.FreeRun(0, run), AllocError::kInvalid);
+  EXPECT_EQ(buddy.FreeFrames(), free_before + 1);
+  EXPECT_FALSE(buddy.FreeRun(0, {frames.begin() + 1, frames.end()})
+                   .has_value());
+  EXPECT_EQ(buddy.FreeFrames(), kFrames);
+  EXPECT_TRUE(buddy.Validate());
+}
+
+// The run paths against the per-frame ones on twin buddies: `runs`
+// refills its PCP lists in carved blocks (through Alloc and AllocBatch)
+// and frees order-0 frames with FreeRun; `singles` refills with one
+// AllocCore(0) per frame and frees with one Free per frame. Seeded
+// traffic of both migrate types with larger blocks mixed in, run to
+// exhaustion and back. After every step both yield the same frames and
+// hold the same free lists and PCP lists in the same order; a
+// non-power-of-two batch never carves.
+TEST(BuddyTest, RefillAndFreeRunsMatchSingles) {
+  for (const unsigned pcp_batch : {8u, 32u, 6u}) {
+    SCOPED_TRACE(pcp_batch);
+    Buddy::Config config;
+    config.cores = 2;
+    config.pcp_batch = pcp_batch;
+    // A quarter of kFrames, so the allocation-heavy phase runs it dry.
+    Buddy runs(kFrames / 4, config);
+    Buddy singles(kFrames / 4, config);
+    Rng rng(100 + pcp_batch);
+    std::vector<FrameId> live0;
+    std::vector<std::pair<FrameId, unsigned>> live_blocks;
+    uint64_t carved = 0;          // refills of Alloc that carve
+    uint64_t single_refills = 0;  // and those that take small blocks
+    uint64_t short_trains = 0;
+
+    for (int step = 0; step < 1200; ++step) {
+      const unsigned core = static_cast<unsigned>(rng.Below(2));
+      const AllocType type = static_cast<AllocType>(rng.Below(3));
+      const bool alloc = rng.Chance(step < 700 ? 0.7 : 0.3);
+      if (alloc && rng.Chance(0.15)) {
+        // A larger block, to leave small free blocks behind.
+        const unsigned order = 1 + static_cast<unsigned>(rng.Below(4));
+        const Result<FrameId> a = runs.Alloc(core, order, type);
+        const Result<FrameId> b = singles.Alloc(core, order, type);
+        ASSERT_EQ(a.ok(), b.ok()) << "step " << step;
+        if (a.ok()) {
+          ASSERT_EQ(*a, *b) << "step " << step;
+          live_blocks.emplace_back(*a, order);
+        }
+      } else if (alloc) {
+        const unsigned count = 1 + static_cast<unsigned>(rng.Below(100));
+        std::vector<FrameId> got;
+        if (rng.Chance(0.5)) {
+          runs.AllocBatch(core, 0, count, type, &got);
+        } else {
+          for (unsigned i = 0; i < count; ++i) {
+            if (BuddyTestPeer::PcpEmpty(runs, core, type)) {
+              ++(BuddyTestPeer::RefillCarves(runs, type) ? carved
+                                                         : single_refills);
+            }
+            const Result<FrameId> r = runs.Alloc(core, 0, type);
+            if (!r.ok()) {
+              break;
+            }
+            got.push_back(*r);
+          }
+        }
+        std::vector<FrameId> want;
+        for (unsigned i = 0; i < count; ++i) {
+          const Result<FrameId> r =
+              BuddyTestPeer::SingleRefillAlloc(singles, core, type);
+          if (!r.ok()) {
+            break;
+          }
+          want.push_back(*r);
+        }
+        ASSERT_EQ(got, want) << "step " << step;
+        short_trains += got.size() < count ? 1 : 0;
+        live0.insert(live0.end(), got.begin(), got.end());
+      } else if (!live0.empty() && rng.Chance(0.8)) {
+        // A random run of live order-0 frames, in a random order.
+        const size_t n = 1 + rng.Below(std::min<size_t>(live0.size(), 120));
+        for (size_t i = 0; i < n; ++i) {
+          std::swap(live0[live0.size() - 1 - i],
+                    live0[rng.Below(live0.size() - i)]);
+        }
+        const std::vector<FrameId> run(live0.end() - static_cast<long>(n),
+                                       live0.end());
+        live0.resize(live0.size() - n);
+        ASSERT_FALSE(runs.FreeRun(core, run).has_value());
+        for (const FrameId f : run) {
+          ASSERT_FALSE(singles.Free(core, f, 0).has_value());
+        }
+      } else if (!live_blocks.empty()) {
+        const size_t i = rng.Below(live_blocks.size());
+        const auto [frame, order] = live_blocks[i];
+        live_blocks.erase(live_blocks.begin() + static_cast<long>(i));
+        ASSERT_FALSE(runs.Free(core, frame, order).has_value());
+        ASSERT_FALSE(singles.Free(core, frame, order).has_value());
+      }
+      ASSERT_EQ(BuddyTestPeer::Lists(runs), BuddyTestPeer::Lists(singles))
+          << "step " << step;
+      ASSERT_EQ(runs.FreeFrames(), singles.FreeFrames());
+      ASSERT_EQ(runs.FreeFramesInLists(), singles.FreeFramesInLists());
+      ASSERT_EQ(runs.UsedHugeBlocks(), singles.UsedHugeBlocks());
+      ASSERT_TRUE(runs.Validate()) << "step " << step;
+      ASSERT_TRUE(singles.Validate()) << "step " << step;
+    }
+    if (std::has_single_bit(pcp_batch)) {
+      EXPECT_GT(carved, 10u) << "no refill carved a block";
+    }
+    EXPECT_GT(single_refills, 10u) << "no refill had small blocks to take";
+    EXPECT_GT(short_trains, 5u) << "the buddy never ran dry";
+
+    // The follow-on allocation sequence, PCP drained: the same blocks in
+    // the same order.
+    runs.DrainPcp();
+    singles.DrainPcp();
+    for (;;) {
+      const Result<FrameId> a = runs.Alloc(0, 2, AllocType::kMovable);
+      const Result<FrameId> b = singles.Alloc(0, 2, AllocType::kMovable);
+      ASSERT_EQ(a.ok(), b.ok());
+      if (!a.ok()) {
+        break;
+      }
+      ASSERT_EQ(*a, *b);
+    }
   }
 }
 

@@ -668,6 +668,92 @@ TEST_F(GuestVmTest, SurchargedTrainsMatchSingles) {
   EXPECT_GT(coverage.partial_touches, 0u);
 }
 
+// Buddy FreeBatch frees order-0 frames in runs (Buddy::FreeRun), zone by
+// zone; a twin freeing the same frames with one Free each must keep the
+// same allocator: every later allocation yields the same frames (which
+// pins the free-list and PCP order), with the same records and counters,
+// and with the monitor's aux bridge the same occupancy bits (PCP off, so
+// that a free can empty its 2 MiB block).
+TEST_F(GuestVmTest, BuddyFreeBatchRunsMatchSingleFrees) {
+  for (const bool monitor : {false, true}) {
+  SCOPED_TRACE(monitor ? "aux bridge, no pcp" : "pcp");
+  GuestConfig config = SmallBuddy();
+  config.movable_bytes = 64 * kMiB;
+  config.buddy_config.pcp_enabled = !monitor;
+  TwinVm runs(config, monitor, /*surcharge=*/false);
+  TwinVm singles(config, monitor, /*surcharge=*/false);
+  Rng rng(17);
+  std::vector<FrameId> live;
+  uint64_t mixed_zone_batches = 0;
+  for (int step = 0; step < 300; ++step) {
+    const unsigned core = static_cast<unsigned>(rng.Below(4));
+    if (live.empty() || rng.Chance(0.55)) {
+      const unsigned count = 1 + static_cast<unsigned>(rng.Below(600));
+      const AllocType type =
+          rng.Chance(0.7) ? AllocType::kMovable : AllocType::kUnmovable;
+      std::vector<FrameId> a;
+      std::vector<FrameId> b;
+      runs.vm->AllocBatch(0, count, type, core, &a);
+      singles.vm->AllocBatch(0, count, type, core, &b);
+      ASSERT_EQ(a, b) << "step " << step;
+      live.insert(live.end(), a.begin(), a.end());
+    } else {
+      // A random selection of live frames, in random order; sometimes
+      // all of them, which empties whole 2 MiB blocks.
+      const size_t n =
+          rng.Chance(0.1)
+              ? live.size()
+              : 1 + rng.Below(std::min<size_t>(live.size(), 700));
+      for (size_t i = 0; i < n; ++i) {
+        std::swap(live[live.size() - 1 - i],
+                  live[rng.Below(live.size() - i)]);
+      }
+      const std::vector<FrameId> train(live.end() - static_cast<long>(n),
+                                       live.end());
+      live.resize(live.size() - n);
+      std::set<const Zone*> zones;
+      for (const FrameId f : train) {
+        zones.insert(&runs.vm->ZoneOf(f));
+      }
+      mixed_zone_batches += zones.size() > 1 ? 1 : 0;
+      runs.vm->FreeBatch(train, 0, core);
+      for (const FrameId f : train) {
+        singles.vm->Free(f, 0, core);
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectSameVm(runs, singles, step % 25 == 0))
+        << "step " << step;
+    if (monitor) {
+      for (HugeId h = 0; h < HugesForFrames(runs.vm->total_frames()); ++h) {
+        ASSERT_EQ(runs.vm->aux_state()->Allocated(h),
+                  singles.vm->aux_state()->Allocated(h))
+            << "step " << step << " huge " << h;
+      }
+    }
+  }
+  EXPECT_GT(mixed_zone_batches, 10u);
+  for (size_t z = 0; z < runs.vm->zones().size(); ++z) {
+    EXPECT_TRUE(runs.vm->zones()[z].buddy->Validate());
+    EXPECT_EQ(runs.vm->zones()[z].buddy->UsedHugeBlocks(),
+              singles.vm->zones()[z].buddy->UsedHugeBlocks());
+  }
+  // The follow-on allocation sequence, down to exhaustion.
+  for (const unsigned core : {0u, 1u, 2u, 3u}) {
+    for (;;) {
+      const Result<FrameId> a = runs.vm->Alloc(0, AllocType::kMovable, core);
+      const Result<FrameId> b =
+          singles.vm->Alloc(0, AllocType::kMovable, core);
+      ASSERT_EQ(a.ok(), b.ok());
+      if (!a.ok()) {
+        break;
+      }
+      ASSERT_EQ(*a, *b);
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(ExpectSameVm(runs, singles, true));
+  }
+}
+
 TEST_F(GuestVmTest, PurgeAllocatorCachesDrainsPcp) {
   Init(SmallBuddy());
   const Result<FrameId> r = vm_->Alloc(0, AllocType::kMovable);

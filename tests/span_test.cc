@@ -104,6 +104,34 @@ TEST_F(SpanTest, NestingParentsAndVirtualClock) {
   EXPECT_EQ(std::string(spans[0].name), "test.outer");
 }
 
+// A root started inside another trace's span (an install under a region
+// grow) takes no parent from that trace; spans opened under the root
+// still nest, and the outer span stays innermost after it.
+TEST_F(SpanTest, RootInsideForeignSpanTakesNoForeignParent) {
+  ScopedTrace trace;
+  {
+    Span region(Layer::kGuest, "test.region");
+    {
+      ScopedRoot root;
+      Span install(Layer::kMonitor, "test.install");
+      Span leaf(Layer::kEpt, "test.leaf");
+    }
+    EXPECT_EQ(Span::Current(), &region);
+  }
+  const std::vector<SpanRecord> spans = SpanTracer::Global().Drain();
+  ASSERT_EQ(spans.size(), 3u);
+  const SpanRecord* region = Find(spans, "test.region");
+  const SpanRecord* install = Find(spans, "test.install");
+  const SpanRecord* leaf = Find(spans, "test.leaf");
+  ASSERT_NE(region, nullptr);
+  ASSERT_NE(install, nullptr);
+  ASSERT_NE(leaf, nullptr);
+  EXPECT_NE(install->trace_id, region->trace_id);
+  EXPECT_EQ(install->parent_id, 0u);
+  EXPECT_EQ(leaf->trace_id, install->trace_id);
+  EXPECT_EQ(leaf->parent_id, install->span_id);
+}
+
 TEST_F(SpanTest, ChargeAttributionAndClosure) {
   sim::Simulation sim;
   SpanContext context;

@@ -4,6 +4,7 @@
 
 #include "src/guest/guest_vm.h"
 #include "src/vmem/virtio_mem.h"
+#include "src/workloads/memory_pool.h"
 
 namespace hyperalloc::vmem {
 namespace {
@@ -134,6 +135,41 @@ TEST_F(VmemTest, UnplugMigratesUsedBlocks) {
     EXPECT_LT(f, mid) << "frame still inside the unplugged range";
     vm_->Free(f, 0);
   }
+}
+
+// A memory pool builds its frame index on the first migration: regions
+// grown and freed before it are still relocated, and the index follows
+// the grows and frees after it.
+TEST_F(VmemTest, UnplugRelocatesPoolRegionsIndexedLazily) {
+  Init();
+  workloads::MemoryPool pool(vm_.get());
+  std::vector<uint64_t> regions;
+  for (int i = 0; i < 6; ++i) {
+    regions.push_back(pool.AllocRegion(4 * kMiB, 0.0, 0));
+  }
+  pool.GrowRegion(regions[1], 2 * kMiB, 0.0, 0);
+  pool.FreeRegion(regions[2], 0);
+  pool.FreeRegion(regions[4], 0);
+  pool.GrowRegion(regions[3], 2 * kMiB, 0.5, 0);
+  const uint64_t held = pool.TotalBytes();
+  ASSERT_EQ(held, 20 * kMiB);
+
+  SetLimit(kVmBytes - kMovableBytes / 2);  // unplug the top half
+  ASSERT_EQ(vmem_->limit_bytes(), kVmBytes - kMovableBytes / 2);
+  EXPECT_GT(vm_->migrated_frames(), 0u);
+  EXPECT_EQ(pool.TotalBytes(), held);
+
+  pool.GrowRegion(regions[0], 2 * kMiB, 0.0, 0);
+  pool.FreeRegion(regions[1], 0);
+  ASSERT_EQ(pool.TotalBytes(), held - 4 * kMiB);
+  const uint64_t migrated = vm_->migrated_frames();
+  SetLimit(kVmBytes - kMovableBytes * 3 / 4);
+  EXPECT_GT(vm_->migrated_frames(), migrated);
+  EXPECT_EQ(pool.TotalBytes(), held - 4 * kMiB);
+  // Every frame the pool frees is one it holds (a stale frame would fail
+  // the guest's allocation-record check).
+  pool.FreeAll(0);
+  EXPECT_EQ(vm_->FreeFrames() * kFrameSize, vmem_->limit_bytes());
 }
 
 TEST_F(VmemTest, UnplugStopsWhenMigrationImpossible) {
