@@ -102,6 +102,9 @@ void Buddy::CountUsed(uint32_t frame, unsigned order, bool allocated) {
       used_in_block_[h] = static_cast<uint16_t>(used_in_block_[h] + per_block);
     } else {
       used_in_block_[h] = static_cast<uint16_t>(used_in_block_[h] - per_block);
+      if (used_in_block_[h] == 0 && on_block_empty_) {
+        on_block_empty_(h);
+      }
     }
   }
 }

@@ -22,9 +22,11 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/base/result.h"
@@ -139,6 +141,13 @@ class Buddy {
   // the "(partially) used huge pages" curve of Fig. 8.
   uint64_t UsedHugeBlocks() const;
 
+  // Called with a 2 MiB block's index whenever its used-frame count
+  // drops to zero, wherever that happens: a free, a PCP drain, a range
+  // release. The guest's auxiliary A bit follows it.
+  void SetOnBlockEmpty(std::function<void(HugeId)> hook) {
+    on_block_empty_ = std::move(hook);
+  }
+
   // Verifies list/descriptor consistency. Quiescent use only.
   bool Validate() const;
 
@@ -240,6 +249,7 @@ class Buddy {
   std::vector<Pcp> pcp_;
   std::vector<uint64_t> reported_;  // bitset, one bit per frame
   std::vector<uint16_t> used_in_block_;  // allocated frames per 2 MiB block
+  std::function<void(HugeId)> on_block_empty_;
   uint64_t free_frames_ = 0;        // frames in buddy lists
   uint64_t pcp_frames_ = 0;         // frames in PCP caches
 };

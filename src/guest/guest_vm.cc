@@ -401,9 +401,8 @@ void GuestVm::FreeBatch(std::span<const FrameId> frames, unsigned order,
     return;
   }
   // Bucket LLFree-zone frames (as zone-local ids) for one PutBatch per
-  // zone. Order-0 frees into a buddy zone go in place as runs. Larger
-  // orders, and buddy frees under an aux bridge (whose occupancy check
-  // follows each single free), take the single-frame path.
+  // zone. Order-0 frees into a buddy zone go in place as runs; larger
+  // orders take the single-frame path.
   std::vector<std::vector<FrameId>> buckets(zones_.size());
   for (size_t i = 0; i < frames.size();) {
     const FrameId f = frames[i];
@@ -413,7 +412,7 @@ void GuestVm::FreeBatch(std::span<const FrameId> frames, unsigned order,
       ++zi;
     }
     Zone& zone = zones_[zi];
-    if (zone.buddy != nullptr && order == 0 && aux_ == nullptr) {
+    if (zone.buddy != nullptr && order == 0) {
       // A run of frees into this zone, in pieces of up to 64: each
       // frame's bookkeeping, then the piece enters the PCP as that many
       // Frees would.
@@ -440,9 +439,6 @@ void GuestVm::FreeBatch(std::span<const FrameId> frames, unsigned order,
     alloc_order_[f] = 0;
     approx_free_frames_ += 1ull << order;
     buckets[zi].push_back(f - zone.start);
-    if (aux_ != nullptr) {
-      AuxAfterFree(f, order);  // no-op for LLFree zones, kept for clarity
-    }
   }
   for (size_t zi = 0; zi < buckets.size(); ++zi) {
     if (buckets[zi].empty()) {
@@ -490,6 +486,17 @@ void GuestVm::AttachAuxBridge(hv::AuxState* aux,
   HA_CHECK(aux->size() == HugesForFrames(total_frames_));
   aux_ = aux;
   aux_install_ = std::move(install);
+  // A clears when a buddy block's last frame leaves it, which for an
+  // order-0 free happens only when the per-CPU cache drains. LLFree
+  // guests carry A in their own area index.
+  for (Zone& zone : zones_) {
+    if (zone.buddy != nullptr) {
+      zone.buddy->SetOnBlockEmpty(
+          [aux, base = FrameToHuge(zone.start)](HugeId local) {
+            aux->ClearAllocated(base + local);
+          });
+    }
+  }
 }
 
 void GuestVm::AuxAfterAlloc(FrameId frame, unsigned order) {
@@ -504,21 +511,6 @@ void GuestVm::AuxAfterAlloc(FrameId frame, unsigned order) {
   }
 }
 
-void GuestVm::AuxAfterFree(FrameId frame, unsigned order) {
-  Zone& zone = ZoneOf(frame);
-  if (zone.buddy == nullptr) {
-    return;  // LLFree guests carry A in their own area index
-  }
-  const HugeId first = FrameToHuge(frame);
-  const HugeId last = FrameToHuge(frame + (1ull << order) - 1);
-  for (HugeId h = first; h <= last; ++h) {
-    const HugeId local = h - FrameToHuge(zone.start);
-    if (zone.buddy->UsedFramesInBlock(local) == 0) {
-      aux_->ClearAllocated(h);
-    }
-  }
-}
-
 void GuestVm::Free(FrameId frame, unsigned order, unsigned core) {
   HA_CHECK(frame < total_frames_);
   HA_CHECK((alloc_order_[frame] & 0x7fu) == order + 1);
@@ -528,9 +520,6 @@ void GuestVm::Free(FrameId frame, unsigned order, unsigned core) {
   alloc_order_[frame] = 0;
   approx_free_frames_ += 1ull << order;
   ZoneFree(ZoneOf(frame), frame, order, core, type);
-  if (aux_ != nullptr) {
-    AuxAfterFree(frame, order);
-  }
 }
 
 bool GuestVm::PopulateFrames(FrameId first, uint64_t count) {

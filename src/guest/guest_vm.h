@@ -304,7 +304,6 @@ class GuestVm {
   // Shared post-allocation bookkeeping (alloc_order_, watermark, aux).
   void RecordAlloc(FrameId frame, unsigned order, AllocType type);
   void AuxAfterAlloc(FrameId frame, unsigned order);
-  void AuxAfterFree(FrameId frame, unsigned order);
   // kswapd-style background reclaim: keeps free memory above a low
   // watermark by evicting page cache, so allocators are not forced into
   // their type-mixing fallback paths.

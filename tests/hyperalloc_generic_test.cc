@@ -4,6 +4,10 @@
 // path.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "src/base/rng.h"
 #include "src/core/hyperalloc.h"
 #include "src/guest/guest_vm.h"
 
@@ -76,6 +80,63 @@ TEST_F(GenericHyperAllocTest, AuxOccupancyTracksBuddy) {
   EXPECT_TRUE(aux().Allocated(FrameToHuge(*c)));
   vm_->Free(*c, kHugeOrder);
   EXPECT_FALSE(aux().Allocated(FrameToHuge(*c)));
+}
+
+// A(h) is cleared when a block's last frame leaves it, also when that
+// happens in a per-CPU cache drain rather than in the free itself. While
+// frames sit in a per-CPU cache their block counts as used; A may still
+// be clear there (the guest sets A when it hands a frame out), so the
+// two must agree exactly only once the caches are purged.
+TEST_F(GenericHyperAllocTest, AuxOccupancyFollowsPcpDrains) {
+  Init();
+  auto check = [&](bool purged, const char* when) {
+    uint64_t stale = 0;
+    uint64_t unmarked = 0;
+    for (guest::Zone& zone : vm_->zones()) {
+      ASSERT_NE(zone.buddy, nullptr);
+      const HugeId base = FrameToHuge(zone.start);
+      for (HugeId h = 0; h < zone.frames / kFramesPerHuge; ++h) {
+        const bool used = zone.buddy->UsedFramesInBlock(h) > 0;
+        const bool allocated = aux().Allocated(base + h);
+        stale += allocated && !used;
+        unmarked += used && !allocated;
+      }
+    }
+    EXPECT_EQ(stale, 0u) << "A set on empty blocks " << when;
+    if (purged) {
+      EXPECT_EQ(unmarked, 0u) << "A clear on used blocks " << when;
+    }
+  };
+
+  Rng rng(19);
+  std::vector<std::pair<FrameId, unsigned>> held;
+  for (int i = 0; i < 20000; ++i) {
+    if (!held.empty() && rng.Below(5) < 2) {
+      std::swap(held[rng.Below(held.size())], held.back());
+      vm_->Free(held.back().first, held.back().second,
+                static_cast<unsigned>(rng.Below(4)));
+      held.pop_back();
+      continue;
+    }
+    const unsigned order = rng.Below(8) == 0 ? 2u : 0u;
+    const Result<FrameId> r = vm_->Alloc(order, AllocType::kMovable,
+                                         static_cast<unsigned>(rng.Below(4)));
+    ASSERT_TRUE(r.ok());
+    held.emplace_back(*r, order);
+  }
+  check(false, "after random traffic");
+  vm_->PurgeAllocatorCaches();
+  check(true, "after purging the caches");
+
+  for (const auto& [frame, order] : held) {
+    vm_->Free(frame, order, 0);
+  }
+  check(false, "after freeing everything");
+  vm_->PurgeAllocatorCaches();
+  check(true, "after the final purge");
+  for (HugeId h = 0; h < aux().size(); ++h) {
+    EXPECT_FALSE(aux().Allocated(h)) << "block " << h;
+  }
 }
 
 TEST_F(GenericHyperAllocTest, AutoReclaimIsDmaSafeFreePageReporting) {
