@@ -5,8 +5,7 @@
 // scenario with 1 and N worker threads and comparing fleet digests, and
 // compares the stock policies on the same traffic.
 //
-// Emits the `hyperalloc-bench-fleet-v1` JSON document with --out=FILE
-// (the same object bench_runner embeds under benches.fleet).
+// Emits the `hyperalloc-bench-fleet-v1` JSON document with --out=FILE.
 #include <sys/stat.h>
 
 #include <algorithm>

@@ -1,7 +1,7 @@
 // Thin bench-side clients of the fleet engine (src/fleet/): the Fig. 11
 // compile fleet (the old multi-VM harness scenario) and the policy-driven
-// 1000-VM scenarios, plus the shared `hyperalloc-bench-fleet-v1` JSON
-// emitter used standalone by bench_fleet and embedded by bench_runner.
+// 1000-VM scenarios, plus bench_fleet's `hyperalloc-bench-fleet-v1`
+// JSON emitter. tests/bench_scenarios_test.cc runs the same scenarios.
 #ifndef HYPERALLOC_BENCH_FLEET_BENCH_H_
 #define HYPERALLOC_BENCH_FLEET_BENCH_H_
 

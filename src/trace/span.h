@@ -9,8 +9,8 @@
 // charge (hv::ChargeTraced / hv::Charge) is attributed to the innermost
 // open span on the charging thread, so summing `charge_ns` over a
 // request's spans reproduces the cost model's total charge for that
-// request exactly (the bench_runner "attribution" section and
-// tools/ha_trace_tool build on this closure property).
+// request exactly (tests/bench_scenarios_test.cc pins it for a full
+// HyperAlloc resize, and tools/ha_trace_tool builds on it).
 //
 // Identity and propagation: a 64-bit trace id lives in a thread-local
 // SpanContext. Roots mint a fresh id (ScopedRoot / RequestSpan::Start);

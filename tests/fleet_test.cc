@@ -150,7 +150,7 @@ TEST(FleetDeterminism, HugeModeDigestsByteIdenticalAt512Vms) {
   }
 
   // The THP-backed fleet must not regress the huge-granular share below
-  // the perf-gate floor the bench enforces (scripts/perf_gate.py).
+  // the 0.8 floor BenchScenarios.HugeFrameCompaction* holds for one VM.
   EXPECT_GE(one.huge_reclaim.Share(), 0.8);
 }
 

@@ -3,6 +3,8 @@
 // the multithreaded stress tests).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <map>
 #include <set>
 #include <vector>
@@ -155,6 +157,61 @@ TEST_F(LLFreeTest, BatchSequenceEquivalentToSingles) {
   EXPECT_EQ(alloc_->FreeHugeFrames(), single.FreeHugeFrames());
   EXPECT_TRUE(alloc_->Validate());
   EXPECT_TRUE(single.Validate());
+}
+
+// The batched hot path must stay at least twice as fast as the same
+// volume of single-frame transactions: order-0 trains of 512 frames
+// through GetBatch/PutBatch against 512 Get/Put pairs, 200 rounds over
+// 256 MiB, each side on a fresh allocator. Both sides run in this
+// process, so their ratio cancels machine speed; the median over
+// interleaved pairs keeps one descheduled sample from deciding.
+double SecondsOfRounds(bool batched) {
+  constexpr unsigned kBatch = 512;
+  Config config;
+  config.cores = 4;
+  SharedState state(kFrames256MiB, config);
+  LLFree alloc(&state);
+  std::vector<FrameId> held;
+  held.reserve(kBatch);
+  const auto start = std::chrono::steady_clock::now();
+  for (int round = 0; round < 200; ++round) {
+    const unsigned core = static_cast<unsigned>(round % 4);
+    if (batched) {
+      const unsigned got =
+          alloc.GetBatch(core, 0, kBatch, AllocType::kMovable, &held);
+      EXPECT_EQ(got, kBatch);
+      alloc.PutBatch(held, 0);
+    } else {
+      for (unsigned i = 0; i < kBatch; ++i) {
+        const Result<FrameId> r = alloc.Get(core, 0, AllocType::kMovable);
+        if (!r.ok()) {
+          ADD_FAILURE() << "single Get ran dry in round " << round;
+          break;
+        }
+        held.push_back(*r);
+      }
+      for (const FrameId frame : held) {
+        alloc.Put(frame, 0);
+      }
+    }
+    held.clear();
+  }
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST(LLFreeBatchSpeed, BatchedPathAtLeastTwiceSingleFrames) {
+  std::vector<double> speedups;
+  for (int pair = 0; pair < 7; ++pair) {
+    const double batched = SecondsOfRounds(true);
+    const double single = SecondsOfRounds(false);
+    ASSERT_GT(batched, 0.0);
+    speedups.push_back(single / batched);
+  }
+  std::sort(speedups.begin(), speedups.end());
+  EXPECT_GE(speedups[speedups.size() / 2], 2.0)
+      << "slowest " << speedups.front() << ", fastest " << speedups.back();
 }
 
 TEST_F(LLFreeTest, PutBatchSkipsInvalidEntries) {
