@@ -114,8 +114,8 @@ TEST_F(LLFreeTest, BatchRoundTrip) {
 
 TEST_F(LLFreeTest, BatchSequenceEquivalentToSingles) {
   // A batched allocator and a single-frame allocator replaying the same
-  // logical sequence must agree on every aggregate at every step, and
-  // both must validate — the batch path is an optimization, not a new
+  // logical sequence must hand out the same frames in the same order and
+  // agree on every aggregate at every step, and both must validate — the batch path is an optimization, not a new
   // allocation policy.
   Init(kFrames64MiB);
   SharedState single_state(kFrames64MiB, DefaultConfig());
@@ -124,7 +124,8 @@ TEST_F(LLFreeTest, BatchSequenceEquivalentToSingles) {
   const struct {
     unsigned order;
     unsigned count;
-  } rounds[] = {{0, 513}, {2, 17}, {6, 9}, {0, 64}, {3, 5}, {0, 1}};
+  } rounds[] = {{0, 513}, {2, 17}, {6, 9}, {7, 5}, {0, 64},
+                {8, 3},   {3, 5},  {0, 1}};
   std::vector<std::pair<unsigned, std::vector<FrameId>>> batched_held;
   std::vector<std::pair<unsigned, std::vector<FrameId>>> single_held;
   for (const auto& round : rounds) {
@@ -139,6 +140,7 @@ TEST_F(LLFreeTest, BatchSequenceEquivalentToSingles) {
       ASSERT_TRUE(r.ok());
       singles.push_back(*r);
     }
+    EXPECT_EQ(batched, singles);
     EXPECT_EQ(alloc_->FreeFrames(), single.FreeFrames());
     EXPECT_TRUE(alloc_->Validate());
     EXPECT_TRUE(single.Validate());
@@ -274,7 +276,13 @@ TEST_F(LLFreeTest, DryZoneBatchMatchesSingles) {
   // tree can be reserved, and must hand out exactly the frames, in
   // order, that `count` single Gets hand out — including running dry
   // part-way through.
-  for (const unsigned order : {0u, kHugeOrder}) {
+  // Tree 0 kept 3 whole areas next to the area of the unmovable frame.
+  const struct {
+    unsigned order;
+    unsigned count;
+    unsigned expect;
+  } cases[] = {{0, 2100, 2047}, {7, 20, 15}, {8, 10, 7}, {kHugeOrder, 5, 3}};
+  for (const auto& [order, count, expect] : cases) {
     SCOPED_TRACE(testing::Message() << "order " << order);
     Config config;
     config.areas_per_tree = 4;
@@ -284,7 +292,6 @@ TEST_F(LLFreeTest, DryZoneBatchMatchesSingles) {
     MakeDryZone(alloc_.get());
     MakeDryZone(&single);
 
-    const unsigned count = order == 0 ? 2100 : 5;
     std::vector<FrameId> batched;
     const unsigned got = alloc_->GetBatch(0, order, count,
                                           AllocType::kMovable, &batched);
@@ -296,8 +303,7 @@ TEST_F(LLFreeTest, DryZoneBatchMatchesSingles) {
       }
       singles.push_back(*r);
     }
-    // Tree 0 kept 3 whole areas next to the area of the unmovable frame.
-    EXPECT_EQ(got, order == 0 ? 2047u : 3u);
+    EXPECT_EQ(got, expect);
     EXPECT_EQ(batched, singles);
     EXPECT_EQ(alloc_->FreeFrames(), single.FreeFrames());
     EXPECT_TRUE(alloc_->Validate());
@@ -317,6 +323,199 @@ TEST_F(LLFreeTest, GetBatchOnEmptyZoneReturnsZero) {
   }
   EXPECT_EQ(alloc_->FreeFrames(), 0u);
   EXPECT_TRUE(alloc_->Validate());
+}
+
+// The pin below: a seeded schedule of single Gets and GetBatch calls
+// (orders 0, 3, 7, 8 and 9, every allocation type, several cores),
+// single and batched frees, soft reclaims and hard reclaims with later
+// returns by a monitor view, and reservation drains, followed by a phase
+// that runs the zone dry, so requests end in fallback steals and dry
+// memos. Every frame handed out, every shortfall and error, every
+// install and, after each step, the packed area, tree and reservation
+// entries and the dry memo fold into one digest per configuration. A
+// change in what the claim path hands out, or in what it leaves in the
+// shared state, fails here.
+struct PinnedRun {
+  uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
+  uint64_t frames = 0;    // base frames handed out
+  uint64_t shortfalls = 0;  // failed Gets and short batches
+  uint64_t installs = 0;
+  uint64_t steals = 0;     // single Gets served outside the slot's tree
+  uint64_t dry_steps = 0;  // steps that ended with a dry memo standing
+
+  void Fold(uint64_t value) { digest = (digest ^ value) * 0x100000001b3ull; }
+};
+
+PinnedRun RunPinnedSchedule(const Config& config, uint64_t seed) {
+  SharedState state(kFrames16MiB * 4, config);
+  LLFree guest(&state);
+  LLFree monitor(&state);
+  PinnedRun run;
+  guest.SetInstallHandler([&](HugeId huge) {
+    ++run.installs;
+    run.Fold(huge);
+    monitor.ClearEvicted(huge);
+  });
+  struct Held {
+    FrameId frame;
+    unsigned order;
+  };
+  std::vector<Held> held;
+  std::vector<HugeId> hard;
+  Rng rng(seed);
+  const auto hold = [&](FrameId frame, unsigned order) {
+    run.Fold(frame);
+    run.frames += 1ull << order;
+    held.push_back({frame, order});
+  };
+  const auto take_held = [&](size_t i) {
+    const Held h = held[i];
+    held[i] = held.back();
+    held.pop_back();
+    return h;
+  };
+  const auto allocate = [&] {
+    constexpr unsigned kOrders[] = {0, 3, 7, 8, kHugeOrder};
+    constexpr AllocType kTypes[] = {AllocType::kMovable,
+                                    AllocType::kUnmovable, AllocType::kHuge};
+    const unsigned order = kOrders[rng.Below(5)];
+    const AllocType type = kTypes[rng.Below(3)];
+    const unsigned core = static_cast<unsigned>(rng.Below(4));
+    if (rng.Chance(0.5)) {
+      const Result<FrameId> r = guest.Get(core, order, type);
+      if (!r.ok()) {
+        ++run.shortfalls;
+        run.Fold(0xe000 + static_cast<uint64_t>(r.error()));
+        return;
+      }
+      // A Get that claimed through its slot leaves the slot reserving
+      // the frame's tree; anything else was a fallback steal.
+      const unsigned slot =
+          config.mode == Config::ReservationMode::kPerCore
+              ? core % config.cores
+              : static_cast<unsigned>(order == kHugeOrder ? AllocType::kHuge
+                                                          : type);
+      const Reservation r_slot = guest.ReadReservation(slot);
+      if (!r_slot.active ||
+          r_slot.tree != FrameToHuge(*r) / config.areas_per_tree) {
+        ++run.steals;
+      }
+      hold(*r, order);
+      return;
+    }
+    const unsigned count = 1 + static_cast<unsigned>(rng.Below(
+                                   order == 0 ? 700 : order == 3 ? 60 : 5));
+    std::vector<FrameId> out;
+    const unsigned got = guest.GetBatch(core, order, count, type, &out);
+    run.Fold(got);
+    run.shortfalls += got < count ? 1 : 0;
+    for (const FrameId f : out) {
+      hold(f, order);
+    }
+  };
+  const auto free_some = [&] {
+    if (held.empty()) {
+      return;
+    }
+    const Held first = take_held(rng.Below(held.size()));
+    if (rng.Chance(0.5)) {
+      EXPECT_FALSE(guest.Put(first.frame, first.order).has_value());
+      return;
+    }
+    std::vector<FrameId> batch{first.frame};
+    const size_t want = 1 + rng.Below(200);
+    for (size_t i = 0; i < held.size() && batch.size() < want;) {
+      if (held[i].order == first.order) {
+        batch.push_back(take_held(i).frame);
+      } else {
+        ++i;
+      }
+    }
+    EXPECT_EQ(guest.PutBatch(batch, first.order), batch.size());
+  };
+  const auto step = [&](unsigned alloc_pct, unsigned free_pct) {
+    const unsigned pick = static_cast<unsigned>(rng.Below(100));
+    if (pick < alloc_pct) {
+      allocate();
+    } else if (pick < alloc_pct + free_pct) {
+      free_some();
+    } else if (pick < alloc_pct + free_pct + 8) {
+      const std::optional<HugeId> h = monitor.ReclaimHuge(
+          rng.Below(guest.num_areas()), /*hard=*/false);
+      run.Fold(h.has_value() ? *h : 0xf000);
+    } else if (pick < alloc_pct + free_pct + 13) {
+      const HugeId h = rng.Below(guest.num_areas());
+      if (monitor.TryHardReclaim(h, /*allow_reserved=*/rng.Chance(0.5))) {
+        run.Fold(h);
+        hard.push_back(h);
+      }
+    } else if (pick < alloc_pct + free_pct + 17) {
+      if (!hard.empty()) {
+        const size_t i = rng.Below(hard.size());
+        EXPECT_TRUE(monitor.MarkReturned(hard[i]));
+        hard[i] = hard.back();
+        hard.pop_back();
+      }
+    } else {
+      guest.DrainReservations();
+    }
+    for (HugeId a = 0; a < guest.num_areas(); ++a) {
+      run.Fold(guest.ReadArea(a).Pack());
+    }
+    for (uint64_t t = 0; t < guest.num_trees(); ++t) {
+      run.Fold(guest.ReadTree(t).Pack());
+    }
+    for (unsigned s = 0; s < config.NumSlots(); ++s) {
+      run.Fold(guest.ReadReservation(s).Pack());
+    }
+    const DryMemo memo = guest.ReadDryMemo();
+    run.Fold(memo.Pack());
+    run.dry_steps += memo.kind == DryMemo::Kind::kDry ? 1 : 0;
+  };
+  for (int i = 0; i < 400; ++i) {
+    step(/*alloc_pct=*/45, /*free_pct=*/35);
+  }
+  for (int i = 0; i < 150; ++i) {
+    step(/*alloc_pct=*/97, /*free_pct=*/0);
+  }
+  for (int i = 0; i < 300; ++i) {
+    step(/*alloc_pct=*/50, /*free_pct=*/35);
+  }
+  EXPECT_TRUE(guest.Validate());
+  return run;
+}
+
+TEST(LLFreePin, MixedScheduleHandsOutPinnedFramesAndState) {
+  struct Case {
+    const char* name;
+    Config config;
+    uint64_t seed;
+    PinnedRun expect;
+  };
+  Config per_type;
+  per_type.areas_per_tree = 4;
+  Config per_core = PerCoreConfig(3);
+  per_core.areas_per_tree = 4;
+  const Case cases[] = {
+      {"per-type", per_type, 1, {0x2affb823815a3269, 59879, 253, 20, 7, 204}},
+      {"per-core", per_core, 2, {0xa7d4fdaccca770e2, 86175, 242, 45, 2, 243}},
+      {"per-type, 8-area trees", DefaultConfig(), 3,
+       {0xb5d131a5c1db7fac, 98118, 193, 37, 18, 180}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const PinnedRun run = RunPinnedSchedule(c.config, c.seed);
+    // The schedule reaches every path it is meant to pin.
+    EXPECT_GT(run.installs, 0u);
+    EXPECT_GT(run.steals, 0u);
+    EXPECT_GT(run.dry_steps, 0u);
+    EXPECT_EQ(run.digest, c.expect.digest) << std::hex << run.digest;
+    EXPECT_EQ(run.frames, c.expect.frames);
+    EXPECT_EQ(run.shortfalls, c.expect.shortfalls);
+    EXPECT_EQ(run.installs, c.expect.installs);
+    EXPECT_EQ(run.steals, c.expect.steals);
+    EXPECT_EQ(run.dry_steps, c.expect.dry_steps);
+  }
 }
 
 // Fills a one-tree zone with huge frames, then fails one 4 KiB Get: the
