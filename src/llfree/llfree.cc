@@ -383,25 +383,33 @@ unsigned LLFree::GetBatch(unsigned core, unsigned order, unsigned count,
   bool dry = false;        // no tree could be reserved
   bool known_dry = false;  // the dry memo says the tail would fail too
   std::optional<uint64_t> avoid;
-  for (unsigned attempt = 0;
-       attempt < kMaxReserveAttempts && claimed < count && !dry;
-       ++attempt) {
+  // The attempt budget and the avoided tree belong to the run being
+  // claimed, as they belong to one single Get: a claimed run starts the
+  // next one afresh.
+  unsigned attempt = 0;
+  while (attempt < kMaxReserveAttempts && claimed < count && !dry) {
     unsigned taken_runs = 0;
     const std::optional<uint64_t> tree =
         TakeFromReservation(slot, order, count - claimed, &taken_runs);
     if (!tree.has_value()) {
       known_dry = KnownDry(run);
       dry = known_dry || !ReserveNewTree(slot, type, run, avoid);
+      ++attempt;
       continue;
     }
     const unsigned got = SearchTreeBatch(*tree, order, taken_runs, out);
     claimed += got;
+    if (got > 0) {
+      attempt = 0;
+      avoid.reset();
+    }
     if (got < taken_runs) {
       // The counter promised more runs than the tree could deliver
       // (fragmentation or a race): return the shortfall and move on.
       GiveBack(slot, *tree, (taken_runs - got) * run);
       avoid = *tree;
       dry = !ReserveNewTree(slot, type, run, avoid);
+      ++attempt;
     }
   }
   // The singles tail below counts its own "llfree.get"s.
@@ -416,10 +424,10 @@ unsigned LLFree::GetBatch(unsigned core, unsigned order, unsigned count,
   // exact semantics (fallback steal included) of `count` single calls.
   // Once the reservation scan has failed, a single Get would repeat it
   // and fail again, so a dry tail goes straight to the fallback, and a
-  // known-dry one is skipped (DESIGN.md §4.10).
-  while (claimed < count && !known_dry) {
-    const Result<FrameId> r =
-        dry ? GetFallback(order, false) : Get(core, order, type);
+  // known-dry one is skipped (DESIGN.md §4.10). A single Get out of
+  // attempts fails, so the batch stops there too.
+  while (claimed < count && dry && !known_dry) {
+    const Result<FrameId> r = GetFallback(order, false);
     if (!r.ok()) {
       break;
     }
@@ -444,9 +452,9 @@ unsigned LLFree::GetBatchHuge(unsigned core, unsigned count, AllocType type,
   bool dry = false;        // no tree could be reserved
   bool known_dry = false;  // the dry memo says the tail would fail too
   std::optional<uint64_t> avoid;
-  for (unsigned attempt = 0;
-       attempt < kMaxReserveAttempts && claimed < count && !dry;
-       ++attempt) {
+  // Per-run attempt budget, as in GetBatch.
+  unsigned attempt = 0;
+  while (attempt < kMaxReserveAttempts && claimed < count && !dry) {
     unsigned taken_runs = 0;
     const std::optional<uint64_t> tree = TakeFromReservation(
         slot, kHugeOrder, count - claimed, &taken_runs);
@@ -454,16 +462,22 @@ unsigned LLFree::GetBatchHuge(unsigned core, unsigned count, AllocType type,
       known_dry = KnownDry(kFramesPerHuge);
       dry = known_dry ||
             !ReserveNewTree(slot, effective_type, kFramesPerHuge, avoid);
+      ++attempt;
       continue;
     }
     const unsigned got = SearchTreeHugeBatch(*tree, taken_runs, out);
     claimed += got;
+    if (got > 0) {
+      attempt = 0;
+      avoid.reset();
+    }
     if (got < taken_runs) {
       // The counter promised more whole areas than the tree held
       // (fragmentation or a race): return the shortfall and move on.
       GiveBack(slot, *tree, (taken_runs - got) * kFramesPerHuge);
       avoid = *tree;
       dry = !ReserveNewTree(slot, effective_type, kFramesPerHuge, avoid);
+      ++attempt;
     }
   }
   // The singles tail below counts its own "llfree.get"s.
@@ -474,11 +488,10 @@ unsigned LLFree::GetBatchHuge(unsigned core, unsigned count, AllocType type,
     HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kGet,
                    out->at(out->size() - claimed), kHugeOrder);
   }
-  // Tail under pressure: single transactions, straight to the fallback
-  // once the reservation scan has failed (as in GetBatch).
-  while (claimed < count && !known_dry) {
-    const Result<FrameId> r = dry ? GetFallback(kHugeOrder, true)
-                                  : Get(core, kHugeOrder, type);
+  // Tail under pressure: straight to the fallback once the reservation
+  // scan has failed (as in GetBatch).
+  while (claimed < count && dry && !known_dry) {
+    const Result<FrameId> r = GetFallback(kHugeOrder, true);
     if (!r.ok()) {
       break;
     }
