@@ -10,7 +10,10 @@ namespace hyperalloc::llfree {
 
 namespace {
 
-constexpr uint64_t kWordsPerArea64 = kFramesPerHuge / 64;
+// Orders Get, GetBatch and Put accept: bit-field runs and huge frames.
+bool Claimable(unsigned order) {
+  return order <= kMaxBitfieldOrder || order == kHugeOrder;
+}
 
 }  // namespace
 
@@ -75,7 +78,7 @@ unsigned LLFree::SlotFor(unsigned core, AllocType type) const {
 }
 
 AreaBits LLFree::BitsOf(uint64_t area) const {
-  return AreaBits(state_->bitfield_.get() + area * kWordsPerArea64);
+  return AreaBits(state_->bitfield_.get() + area * kWordsPerArea);
 }
 
 uint64_t LLFree::AreasInTree(uint64_t tree) const {
@@ -309,47 +312,24 @@ void LLFree::DrainReservations() {
 // ----------------------------------------------------------------------
 
 Result<FrameId> LLFree::Get(unsigned core, unsigned order, AllocType type) {
-  if (order > kMaxBitfieldOrder && order != kHugeOrder) {
+  if (!Claimable(order)) {
     HA_COUNT("llfree.get_fail");
     return AllocError::kInvalid;
   }
-  const bool huge = order == kHugeOrder;
-  const AllocType effective_type = huge && config().mode ==
-      Config::ReservationMode::kPerType ? AllocType::kHuge : type;
-  const unsigned need = 1u << order;
-  const unsigned slot = SlotFor(core, effective_type);
-
-  std::optional<uint64_t> avoid;
-  for (unsigned attempt = 0; attempt < kMaxReserveAttempts; ++attempt) {
-    unsigned taken_runs = 0;
-    std::optional<uint64_t> tree =
-        TakeFromReservation(slot, order, 1, &taken_runs);
-    if (!tree.has_value()) {
-      if (KnownDry(need)) {
-        HA_COUNT("llfree.get_fail");
-        return AllocError::kNoMemory;
-      }
-      if (!ReserveNewTree(slot, effective_type, need, avoid)) {
-        return GetFallback(order, huge);
-      }
-      continue;
-    }
-    std::optional<FrameId> frame =
-        huge ? SearchTreeHuge(*tree) : SearchTree(*tree, order);
-    if (frame.has_value()) {
+  FrameId frame = 0;
+  switch (ClaimRuns(core, order, 1, type, &frame).end) {
+    case ClaimEnd::kDone:
       HA_COUNT("llfree.get");
       HA_HIST("llfree.get_order", order);
-      HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kGet, *frame,
-                     order);
-      return *frame;
-    }
-    // The counter promised frames, but no suitable run exists in this
-    // tree (fragmentation or a race). Return the frames and move on.
-    GiveBack(slot, *tree, need);
-    avoid = *tree;
-    if (!ReserveNewTree(slot, effective_type, need, avoid)) {
-      return GetFallback(order, huge);
-    }
+      HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kGet, frame, order);
+      return frame;
+    case ClaimEnd::kKnownDry:
+      HA_COUNT("llfree.get_fail");
+      return AllocError::kNoMemory;
+    case ClaimEnd::kNoTree:
+      return GetFallback(order);
+    case ClaimEnd::kExhausted:
+      break;
   }
   HA_COUNT("llfree.get_fail");
   return AllocError::kRetry;
@@ -360,148 +340,93 @@ unsigned LLFree::GetBatch(unsigned core, unsigned order, unsigned count,
   if (count == 0) {
     return 0;
   }
-  if (order == kHugeOrder) {
-    return GetBatchHuge(core, count, type, out);
+  if (!Claimable(order)) {
+    HA_COUNT("llfree.get_fail");
+    return 0;
   }
-  if (order > kMaxSingleWordOrder) {
-    // Multi-word orders (7..8) gain nothing from word-batching (each
-    // run already spans whole words); loop the single-run path.
-    unsigned done = 0;
-    for (; done < count; ++done) {
-      const Result<FrameId> r = Get(core, order, type);
-      if (!r.ok()) {
-        break;
-      }
-      out->push_back(*r);
+  const size_t first = out->size();
+  out->resize(first + count);
+  const Claimed claimed =
+      ClaimRuns(core, order, count, type, out->data() + first);
+  out->resize(first + claimed.runs);
+  // The singles tail below counts its own "llfree.get"s.
+  if (claimed.runs > 0) {
+    HA_COUNT_N("llfree.get", claimed.runs);
+    HA_COUNT("llfree.get_batch");
+    HA_HIST("llfree.get_batch_runs", claimed.runs);
+    HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kGet, (*out)[first],
+                   order);
+  }
+  // Tail under pressure: once no tree can be reserved, each further
+  // single Get would repeat the failed reservation scan and go to the
+  // fallback steal, so the tail goes there directly, one run at a time.
+  // A single Get stopped by the dry memo or out of attempts fails, so
+  // the batch stops there too (DESIGN.md §4.10).
+  unsigned done = claimed.runs;
+  while (done < count && claimed.end == ClaimEnd::kNoTree) {
+    const Result<FrameId> r = GetFallback(order);
+    if (!r.ok()) {
+      break;
     }
-    return done;
+    out->push_back(*r);
+    ++done;
   }
+  return done;
+}
 
+LLFree::Claimed LLFree::ClaimRuns(unsigned core, unsigned order,
+                                  unsigned count, AllocType type,
+                                  FrameId* out) {
+  // Per-type mode reserves huge frames in their own slot (§4.2).
+  if (order == kHugeOrder &&
+      config().mode == Config::ReservationMode::kPerType) {
+    type = AllocType::kHuge;
+  }
   const unsigned run = 1u << order;
   const unsigned slot = SlotFor(core, type);
   unsigned claimed = 0;
-  bool dry = false;        // no tree could be reserved
-  bool known_dry = false;  // the dry memo says the tail would fail too
-  std::optional<uint64_t> avoid;
   // The attempt budget and the avoided tree belong to the run being
   // claimed, as they belong to one single Get: a claimed run starts the
-  // next one afresh.
-  unsigned attempt = 0;
-  while (attempt < kMaxReserveAttempts && claimed < count && !dry) {
-    unsigned taken_runs = 0;
+  // next one afresh, so a batch is exactly `count` single Gets.
+  std::optional<uint64_t> avoid;
+  for (unsigned attempt = 0; attempt < kMaxReserveAttempts;) {
+    unsigned taken = 0;
     const std::optional<uint64_t> tree =
-        TakeFromReservation(slot, order, count - claimed, &taken_runs);
+        TakeFromReservation(slot, order, count - claimed, &taken);
     if (!tree.has_value()) {
-      known_dry = KnownDry(run);
-      dry = known_dry || !ReserveNewTree(slot, type, run, avoid);
+      if (KnownDry(run)) {
+        return {claimed, ClaimEnd::kKnownDry};
+      }
+      if (!ReserveNewTree(slot, type, run, avoid)) {
+        return {claimed, ClaimEnd::kNoTree};
+      }
       ++attempt;
       continue;
     }
-    const unsigned got = SearchTreeBatch(*tree, order, taken_runs, out);
+    const unsigned got = SearchTree(*tree, order, taken, out + claimed);
     claimed += got;
+    if (claimed == count) {
+      return {claimed, ClaimEnd::kDone};
+    }
     if (got > 0) {
       attempt = 0;
       avoid.reset();
     }
-    if (got < taken_runs) {
+    if (got < taken) {
       // The counter promised more runs than the tree could deliver
       // (fragmentation or a race): return the shortfall and move on.
-      GiveBack(slot, *tree, (taken_runs - got) * run);
+      GiveBack(slot, *tree, (taken - got) * run);
       avoid = *tree;
-      dry = !ReserveNewTree(slot, type, run, avoid);
+      if (!ReserveNewTree(slot, type, run, avoid)) {
+        return {claimed, ClaimEnd::kNoTree};
+      }
       ++attempt;
     }
   }
-  // The singles tail below counts its own "llfree.get"s.
-  if (claimed > 0) {
-    HA_COUNT_N("llfree.get", claimed);
-    HA_COUNT("llfree.get_batch");
-    HA_HIST("llfree.get_batch_runs", claimed);
-    HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kGet,
-                   out->at(out->size() - claimed), order);
-  }
-  // Tail under pressure: one run per transaction, so the batch keeps the
-  // exact semantics (fallback steal included) of `count` single calls.
-  // Once the reservation scan has failed, a single Get would repeat it
-  // and fail again, so a dry tail goes straight to the fallback, and a
-  // known-dry one is skipped (DESIGN.md §4.10). A single Get out of
-  // attempts fails, so the batch stops there too.
-  while (claimed < count && dry && !known_dry) {
-    const Result<FrameId> r = GetFallback(order, false);
-    if (!r.ok()) {
-      break;
-    }
-    out->push_back(*r);
-    ++claimed;
-  }
-  return claimed;
+  return {claimed, ClaimEnd::kExhausted};
 }
 
-unsigned LLFree::GetBatchHuge(unsigned core, unsigned count, AllocType type,
-                              std::vector<FrameId>* out) {
-  // Native order-9 batch (DESIGN.md §4.14): the reservation CAS debits
-  // whole multiples of kFramesPerHuge and each tree visit claims every
-  // free huge frame it can, so a slice-sized deflate (512 MiB = 256 huge
-  // frames) costs a handful of reservation transactions instead of 256
-  // full Get transactions.
-  const AllocType effective_type =
-      config().mode == Config::ReservationMode::kPerType ? AllocType::kHuge
-                                                         : type;
-  const unsigned slot = SlotFor(core, effective_type);
-  unsigned claimed = 0;
-  bool dry = false;        // no tree could be reserved
-  bool known_dry = false;  // the dry memo says the tail would fail too
-  std::optional<uint64_t> avoid;
-  // Per-run attempt budget, as in GetBatch.
-  unsigned attempt = 0;
-  while (attempt < kMaxReserveAttempts && claimed < count && !dry) {
-    unsigned taken_runs = 0;
-    const std::optional<uint64_t> tree = TakeFromReservation(
-        slot, kHugeOrder, count - claimed, &taken_runs);
-    if (!tree.has_value()) {
-      known_dry = KnownDry(kFramesPerHuge);
-      dry = known_dry ||
-            !ReserveNewTree(slot, effective_type, kFramesPerHuge, avoid);
-      ++attempt;
-      continue;
-    }
-    const unsigned got = SearchTreeHugeBatch(*tree, taken_runs, out);
-    claimed += got;
-    if (got > 0) {
-      attempt = 0;
-      avoid.reset();
-    }
-    if (got < taken_runs) {
-      // The counter promised more whole areas than the tree held
-      // (fragmentation or a race): return the shortfall and move on.
-      GiveBack(slot, *tree, (taken_runs - got) * kFramesPerHuge);
-      avoid = *tree;
-      dry = !ReserveNewTree(slot, effective_type, kFramesPerHuge, avoid);
-      ++attempt;
-    }
-  }
-  // The singles tail below counts its own "llfree.get"s.
-  if (claimed > 0) {
-    HA_COUNT_N("llfree.get", claimed);
-    HA_COUNT("llfree.get_batch");
-    HA_HIST("llfree.get_batch_runs", claimed);
-    HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kGet,
-                   out->at(out->size() - claimed), kHugeOrder);
-  }
-  // Tail under pressure: straight to the fallback once the reservation
-  // scan has failed (as in GetBatch).
-  while (claimed < count && dry && !known_dry) {
-    const Result<FrameId> r = GetFallback(kHugeOrder, true);
-    if (!r.ok()) {
-      break;
-    }
-    out->push_back(*r);
-    ++claimed;
-  }
-  return claimed;
-}
-
-Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
+Result<FrameId> LLFree::GetFallback(unsigned order) {
   // Last resort under memory pressure: no unreserved tree has room, but
   // trees reserved by *other* slots (or fragmented ones) may still hold
   // free frames. Steal directly from the global tree counters, ignoring
@@ -513,7 +438,9 @@ Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
   // Whether any counter held `need` frames. The loads are seq_cst: they
   // pair with the credits' memo clears (DESIGN.md §4.1).
   bool seen = false;
-  for (uint64_t t = 0; t < num_trees(); ++t) {
+  FrameId frame = 0;
+  bool stole = false;
+  for (uint64_t t = 0; t < num_trees() && !stole; ++t) {
     // Most trees are dry under pressure: a plain read skips them without
     // entering the CAS transaction.
     if (TreeEntry::Unpack(state_->trees_[t].load(std::memory_order_seq_cst))
@@ -521,7 +448,7 @@ Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
       continue;
     }
     seen = true;
-    const auto stolen = AtomicUpdate(
+    const auto taken = AtomicUpdate(
         state_->trees_[t], [&](uint32_t raw) -> std::optional<uint32_t> {
           TreeEntry entry = TreeEntry::Unpack(raw);
           if (entry.free < need) {
@@ -530,25 +457,18 @@ Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
           entry.free -= need;
           return entry.Pack();
         });
-    if (!stolen.has_value()) {
+    if (!taken.has_value()) {
       continue;
     }
-    const std::optional<FrameId> frame =
-        huge ? SearchTreeHuge(t) : SearchTree(t, order);
-    if (frame.has_value()) {
-      EndProbe(probe, /*dry=*/false);
-      HA_COUNT("llfree.get");
-      HA_HIST("llfree.get_order", order);
-      HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kSteal, *frame,
-                     order);
-      return *frame;
+    stole = SearchTree(t, order, 1, &frame) == 1;
+    if (!stole) {
+      CreditTree(t, need);
     }
-    CreditTree(t, need);
   }
   // The remaining frames may live in other slots' local reservation
   // counters; pull from those directly (the reservations are part of the
   // shared state, so this stays a lock-free CAS transaction).
-  for (unsigned s = 0; s < config().NumSlots(); ++s) {
+  for (unsigned s = 0; s < config().NumSlots() && !stole; ++s) {
     const Reservation parked = Reservation::Unpack(
         state_->reservations_[s].load(std::memory_order_seq_cst));
     if (!parked.active || parked.free < need) {
@@ -569,23 +489,22 @@ Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
     if (!taken.has_value()) {
       continue;
     }
-    const std::optional<FrameId> frame =
-        huge ? SearchTreeHuge(victim_tree) : SearchTree(victim_tree, order);
-    if (frame.has_value()) {
-      EndProbe(probe, /*dry=*/false);
-      HA_COUNT("llfree.get");
-      HA_HIST("llfree.get_order", order);
-      HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kSteal, *frame,
-                     order);
-      return *frame;
+    stole = SearchTree(victim_tree, order, 1, &frame) == 1;
+    if (!stole) {
+      GiveBack(s, victim_tree, need);
     }
-    GiveBack(s, victim_tree, need);
   }
   // A counter that held `need` frames without an aligned run is
   // fragmentation, not dryness: only a probe that saw none records dry.
   EndProbe(probe, /*dry=*/!seen);
-  HA_COUNT("llfree.get_fail");
-  return AllocError::kNoMemory;
+  if (!stole) {
+    HA_COUNT("llfree.get_fail");
+    return AllocError::kNoMemory;
+  }
+  HA_COUNT("llfree.get");
+  HA_HIST("llfree.get_order", order);
+  HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kSteal, frame, order);
+  return frame;
 }
 
 bool LLFree::KnownDry(unsigned need) const {
@@ -663,141 +582,30 @@ void LLFree::ClearDryMemo() {
   }
 }
 
-std::optional<FrameId> LLFree::SearchTree(uint64_t tree, unsigned order) {
-  const uint64_t first = FirstAreaOf(tree);
-  const uint64_t count = AreasInTree(tree);
-  const int start_pass = config().prefer_non_evicted ? 0 : 1;
-  for (int pass = start_pass; pass < 2; ++pass) {
-    for (uint64_t i = 0; i < count; ++i) {
-      const uint64_t area = first + i;
-      const AreaEntry entry =
-          AreaEntry::Unpack(state_->areas_[area].load(std::memory_order_acquire));
-      if (entry.allocated || entry.free < (1u << order)) {
-        continue;
-      }
-      if (pass == 0 && entry.evicted) {
-        continue;
-      }
-      FrameId frame = 0;
-      if (ClaimBase(area, order, &frame)) {
-        return frame;
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-unsigned LLFree::SearchTreeBatch(uint64_t tree, unsigned order,
-                                 unsigned count, std::vector<FrameId>* out) {
+unsigned LLFree::SearchTree(uint64_t tree, unsigned order, unsigned count,
+                            FrameId* out) {
   const uint64_t first = FirstAreaOf(tree);
   const uint64_t areas = AreasInTree(tree);
-  const int start_pass = config().prefer_non_evicted ? 0 : 1;
   unsigned claimed = 0;
-  for (int pass = start_pass; pass < 2 && claimed < count; ++pass) {
+  // Installed areas first, evicted ones (whose claim waits for an
+  // install) second: the LLFREE_PREFER_INSTALLED policy.
+  for (int pass = 0; pass < 2 && claimed < count; ++pass) {
     for (uint64_t i = 0; i < areas && claimed < count; ++i) {
       const uint64_t area = first + i;
       const AreaEntry entry = AreaEntry::Unpack(
           state_->areas_[area].load(std::memory_order_acquire));
-      if (entry.allocated || entry.free < (1u << order)) {
+      if (entry.allocated || entry.free < (1u << order) ||
+          (pass == 0 && entry.evicted)) {
         continue;
       }
-      if (pass == 0 && entry.evicted) {
-        continue;
-      }
-      claimed += ClaimBaseBatch(area, order, count - claimed, out);
+      claimed += ClaimArea(area, order, count - claimed, out + claimed);
     }
   }
   return claimed;
 }
 
-std::optional<FrameId> LLFree::SearchTreeHuge(uint64_t tree) {
-  const uint64_t first = FirstAreaOf(tree);
-  const uint64_t count = AreasInTree(tree);
-  const int start_pass = config().prefer_non_evicted ? 0 : 1;
-  for (int pass = start_pass; pass < 2; ++pass) {
-    for (uint64_t i = 0; i < count; ++i) {
-      const uint64_t area = first + i;
-      const AreaEntry entry =
-          AreaEntry::Unpack(state_->areas_[area].load(std::memory_order_acquire));
-      if (!entry.IsFreeHuge()) {
-        continue;
-      }
-      if (pass == 0 && entry.evicted) {
-        continue;
-      }
-      if (ClaimHuge(area)) {
-        return HugeToFrame(area);
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-unsigned LLFree::SearchTreeHugeBatch(uint64_t tree, unsigned count,
-                                     std::vector<FrameId>* out) {
-  const uint64_t first = FirstAreaOf(tree);
-  const uint64_t areas = AreasInTree(tree);
-  const int start_pass = config().prefer_non_evicted ? 0 : 1;
-  unsigned claimed = 0;
-  for (int pass = start_pass; pass < 2 && claimed < count; ++pass) {
-    for (uint64_t i = 0; i < areas && claimed < count; ++i) {
-      const uint64_t area = first + i;
-      const AreaEntry entry = AreaEntry::Unpack(
-          state_->areas_[area].load(std::memory_order_acquire));
-      if (!entry.IsFreeHuge()) {
-        continue;
-      }
-      if (pass == 0 && entry.evicted) {
-        continue;
-      }
-      if (ClaimHuge(area)) {
-        out->push_back(HugeToFrame(area));
-        ++claimed;
-      }
-    }
-  }
-  return claimed;
-}
-
-bool LLFree::ClaimBase(uint64_t area, unsigned order, FrameId* out) {
-  const unsigned need = 1u << order;
-  bool was_evicted = false;
-  const auto claimed = AtomicUpdate(
-      state_->areas_[area], [&](uint16_t raw) -> std::optional<uint16_t> {
-        AreaEntry entry = AreaEntry::Unpack(raw);
-        if (entry.allocated || entry.free < need) {
-          return std::nullopt;
-        }
-        was_evicted = entry.evicted;
-        entry.free = static_cast<uint16_t>(entry.free - need);
-        return entry.Pack();
-      });
-  if (!claimed.has_value()) {
-    return false;
-  }
-  const std::optional<unsigned> offset = BitsOf(area).Set(order, 0);
-  if (!offset.has_value()) {
-    // Counter said yes, bit field says no: transient race with concurrent
-    // claims. Roll the counter back.
-    AtomicUpdate(state_->areas_[area],
-                 [&](uint16_t raw) -> std::optional<uint16_t> {
-                   AreaEntry entry = AreaEntry::Unpack(raw);
-                   entry.free = static_cast<uint16_t>(entry.free + need);
-                   return entry.Pack();
-                 });
-    return false;
-  }
-  if (was_evicted) {
-    // DMA safety: wait for the hypervisor to install backing memory
-    // before handing the frame to the caller (§3.2).
-    TriggerInstall(area);
-  }
-  *out = HugeToFrame(area) + *offset;
-  return true;
-}
-
-unsigned LLFree::ClaimBaseBatch(uint64_t area, unsigned order,
-                                unsigned count, std::vector<FrameId>* out) {
+unsigned LLFree::ClaimArea(uint64_t area, unsigned order, unsigned count,
+                           FrameId* out) {
   const unsigned run = 1u << order;
   bool was_evicted = false;
   unsigned want = 0;
@@ -808,15 +616,22 @@ unsigned LLFree::ClaimBaseBatch(uint64_t area, unsigned order,
           return std::nullopt;
         }
         was_evicted = entry.evicted;
-        want = std::min<unsigned>(count, entry.free / run);
+        want = std::min<unsigned>(count, entry.free >> order);
         entry.free = static_cast<uint16_t>(entry.free - want * run);
+        // A huge frame is the whole area, recorded by the allocated
+        // flag, never in the bit field.
+        entry.allocated = order == kHugeOrder;
         return entry.Pack();
       });
   if (!taken.has_value()) {
     return 0;
   }
   unsigned offsets[kFramesPerHuge];
-  const unsigned got = BitsOf(area).SetBatch(order, want, 0, offsets);
+  offsets[0] = 0;
+  unsigned got = want;
+  if (order != kHugeOrder) {
+    got = BitsOf(area).SetBatch(order, want, offsets);
+  }
   if (got < want) {
     // Counter promised more runs than the bit field held (transient race
     // with concurrent claims): roll the shortfall back.
@@ -829,36 +644,14 @@ unsigned LLFree::ClaimBaseBatch(uint64_t area, unsigned order,
                  });
   }
   if (got > 0 && was_evicted) {
-    // DMA safety, once per area rather than once per frame: the whole
-    // batch waits for a single install (§3.2 at batch granularity).
+    // DMA safety, once per area rather than once per frame: the claimed
+    // runs wait for a single install (§3.2 at batch granularity).
     TriggerInstall(area);
   }
   for (unsigned i = 0; i < got; ++i) {
-    out->push_back(HugeToFrame(area) + offsets[i]);
+    out[i] = HugeToFrame(area) + offsets[i];
   }
   return got;
-}
-
-bool LLFree::ClaimHuge(uint64_t area) {
-  bool was_evicted = false;
-  const auto claimed = AtomicUpdate(
-      state_->areas_[area], [&](uint16_t raw) -> std::optional<uint16_t> {
-        AreaEntry entry = AreaEntry::Unpack(raw);
-        if (!entry.IsFreeHuge()) {
-          return std::nullopt;
-        }
-        was_evicted = entry.evicted;
-        entry.free = 0;
-        entry.allocated = true;
-        return entry.Pack();
-      });
-  if (!claimed.has_value()) {
-    return false;
-  }
-  if (was_evicted) {
-    TriggerInstall(area);
-  }
-  return true;
 }
 
 void LLFree::TriggerInstall(HugeId huge) {
@@ -875,7 +668,7 @@ void LLFree::TriggerInstall(HugeId huge) {
 }
 
 std::optional<AllocError> LLFree::Put(FrameId frame, unsigned order) {
-  if (order > kMaxBitfieldOrder && order != kHugeOrder) {
+  if (!Claimable(order)) {
     return AllocError::kInvalid;
   }
   if (frame >= frames() || frame % (1ull << order) != 0) {
@@ -1081,7 +874,7 @@ unsigned LLFree::ClaimFreeInArea(HugeId area, std::vector<FrameId>* out) {
     // claimed frames are the holes the migration fills around and are
     // never written through.
     unsigned offsets[kFramesPerHuge];
-    const unsigned set = BitsOf(area).SetBatch(0, got, 0, offsets);
+    const unsigned set = BitsOf(area).SetBatch(0, got, offsets);
     if (set < got) {
       // Bits raced ahead of the counter: roll the shortfall back.
       AtomicUpdate(state_->areas_[area],

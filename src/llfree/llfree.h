@@ -40,9 +40,6 @@ struct Config {
   // Areas per tree: 8 (16 MiB) for the HyperAlloc variant, 32 (64 MiB)
   // for the original LLFree.
   unsigned areas_per_tree = 8;
-  // HyperAlloc allocation policy: prefer frames that are still backed by
-  // host memory over evicted ones.
-  bool prefer_non_evicted = true;
 
   unsigned NumSlots() const {
     return mode == ReservationMode::kPerCore ? cores : kNumAllocTypes;
@@ -145,24 +142,26 @@ class LLFree {
   // Allocates 2^order naturally aligned base frames. Supported orders:
   // 0..6 (single bit-field word), 7..8 (whole-word runs), and 9 (huge
   // frame via the area entry's allocated flag). Returns the first frame
-  // of the run.
+  // of the run. A single Get is the claim transaction of GetBatch with a
+  // count of one (DESIGN.md §4.10); a request the dry memo covers fails
+  // with kNoMemory, one for which no tree can be reserved goes to the
+  // fallback steal, and one that exhausts its reservation attempts fails
+  // with kRetry.
   Result<FrameId> Get(unsigned core, unsigned order, AllocType type);
 
   // Frees a previous allocation. Returns kInvalid on double free or
   // out-of-range frames.
   std::optional<AllocError> Put(FrameId frame, unsigned order);
 
-  // Batched allocation (DESIGN.md §4.10): claims up to `count` runs of
-  // 2^order frames for `core`, appending the first frame of each run to
-  // `out`. For orders 0..6 the claim runs word-at-a-time inside the
-  // slot's reserved tree — one CAS on the reservation takes the whole
-  // batch's worth of frames and one CAS per bit-field word claims every
-  // run that word holds — so a 64-frame order-0 batch costs a handful of
-  // atomics instead of 64 full Get transactions. Order 9 has its own
-  // native batch (§4.14): one reservation CAS covers several huge frames
-  // and each tree visit claims every free area it holds. The remaining
-  // multi-word orders (7..8) fall back to a Get loop. Returns the number
-  // of runs claimed; fewer than `count` means the allocator ran dry (the
+  // Batched allocation (DESIGN.md §4.10, §4.14): claims up to `count`
+  // runs of 2^order frames for `core`, appending the first frame of each
+  // run to `out`. One CAS on the reservation takes the batch's worth of
+  // frames and each tree visit claims every run its areas hold: for
+  // orders 0..6 one CAS per bit-field word claims every run that word
+  // holds, orders 7..8 claim whole words, and order 9 claims whole
+  // areas. So a 64-frame order-0 batch costs a handful of atomics
+  // instead of 64 full Get transactions. Returns the number of runs
+  // claimed; fewer than `count` means the allocator ran dry (the
   // pressure fallback is still exercised for the tail, so a batch is
   // exactly equivalent to `count` single Gets).
   unsigned GetBatch(unsigned core, unsigned order, unsigned count,
@@ -309,34 +308,38 @@ class LLFree {
   bool ReserveNewTree(unsigned slot, AllocType type, unsigned need,
                       std::optional<uint64_t> avoid);
 
-  // Claims 2^order frames inside `tree`. Two internal passes: non-evicted
-  // areas first (if configured), then evicted ones (triggering install).
-  std::optional<FrameId> SearchTree(uint64_t tree, unsigned order);
+  // Why ClaimRuns stopped.
+  enum class ClaimEnd {
+    kDone,       // all `count` runs claimed
+    kKnownDry,   // the dry memo covers the request (DESIGN.md §4.1)
+    kNoTree,     // no tree could be reserved: only GetFallback can help
+    kExhausted,  // kMaxReserveAttempts trees did not yield `count` runs
+  };
+  struct Claimed {
+    unsigned runs;
+    ClaimEnd end;
+  };
 
-  // Batch variant: claims up to `count` runs across the tree's areas
-  // (same two evicted-preference passes). Returns the number claimed.
-  unsigned SearchTreeBatch(uint64_t tree, unsigned order, unsigned count,
-                           std::vector<FrameId>* out);
+  // The one allocation transaction behind Get and GetBatch (DESIGN.md
+  // §4.10): claims up to `count` runs of 2^order frames for the slot of
+  // (core, type) and writes the first frame of each to `out`. Each
+  // reservation CAS takes as many runs as the slot's counter covers and
+  // one tree search claims them area by area. Counters and events of the
+  // get itself are the callers'.
+  Claimed ClaimRuns(unsigned core, unsigned order, unsigned count,
+                    AllocType type, FrameId* out);
 
-  // Native order-9 batch behind GetBatch (§4.14).
-  unsigned GetBatchHuge(unsigned core, unsigned count, AllocType type,
-                        std::vector<FrameId>* out);
-
-  // Claims one huge frame inside `tree` (area allocated flag).
-  std::optional<FrameId> SearchTreeHuge(uint64_t tree);
-
-  // Batch variant (§4.14): claims up to `count` free huge frames across
-  // the tree's areas (same two evicted-preference passes — installed
-  // frames first, the LLFREE_PREFER_INSTALLED policy). Returns the
-  // number claimed.
-  unsigned SearchTreeHugeBatch(uint64_t tree, unsigned count,
-                               std::vector<FrameId>* out);
+  // Claims up to `count` runs across the tree's areas, writing them to
+  // `out`: installed areas first, then evicted ones (triggering install).
+  // Returns the number claimed.
+  unsigned SearchTree(uint64_t tree, unsigned order, unsigned count,
+                      FrameId* out);
 
   // Pressure fallback: steals directly from tree counters, ignoring the
   // reserved flag, when no tree can be reserved for the slot. The only
   // writer of a dry memo: a failure that saw no counter holding
   // 2^order frames records dry(2^order).
-  Result<FrameId> GetFallback(unsigned order, bool huge);
+  Result<FrameId> GetFallback(unsigned order);
 
   // The dry-zone memo protocol (DESIGN.md §4.1). KnownDry: the memo
   // proves that ReserveNewTree and GetFallback would both fail for
@@ -353,16 +356,14 @@ class LLFree {
   // Follows every counter increment, after the increment.
   void ClearDryMemo();
 
-  // Area-level claim helpers; return true on success.
-  bool ClaimBase(uint64_t area, unsigned order, FrameId* out);
-  bool ClaimHuge(uint64_t area);
-
-  // Batch variant: one counter transaction reserves up to `count` runs in
-  // the area, one word-at-a-time bit-field pass claims them; a shortfall
-  // is rolled back to the counter. Install triggers once per area, not
-  // per frame (fault sites at batch granularity). Returns runs claimed.
-  unsigned ClaimBaseBatch(uint64_t area, unsigned order, unsigned count,
-                          std::vector<FrameId>* out);
+  // Area-level claim: one counter transaction reserves up to `count`
+  // runs in the area and one bit-field pass (AreaBits::SetBatch) claims
+  // them; a shortfall is rolled back to the counter. Order 9 takes the
+  // whole area through its allocated flag. Install triggers once per
+  // area, not per frame (fault sites at batch granularity). Returns runs
+  // claimed.
+  unsigned ClaimArea(uint64_t area, unsigned order, unsigned count,
+                     FrameId* out);
 
   void TriggerInstall(HugeId huge);
 

@@ -638,7 +638,7 @@ Scenario DroppedRollbackOnFailedMapMutant() {
 }
 
 // --------------------------------------------------------------------
-// Mutant: ClaimBaseBatch's shortfall rollback dropped. The batched claim
+// Mutant: ClaimArea's shortfall rollback dropped. The batched claim
 // pre-charges the counter for `want` frames, then the word CAS discovers
 // fewer free bits (a racing free has credited the counter but not yet
 // cleared its bit) — the real code gives the difference back; this one
@@ -699,7 +699,7 @@ struct LostBatchCtx {
     }
     // BUG (deliberate): when got < want, the (want - got) frames charged
     // off the counter were never claimed in the bitfield — the real
-    // ClaimBaseBatch adds the shortfall back here.
+    // ClaimArea adds the shortfall back here.
     return got;
   }
 };
