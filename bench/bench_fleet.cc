@@ -39,7 +39,6 @@ int Main(int argc, char** argv) {
   std::string telemetry_out;
   bool no_telemetry = false;
   bool smoke = false;
-  bool huge = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--vms=", 6) == 0) {
       vms = static_cast<uint64_t>(std::atoll(argv[i] + 6));
@@ -61,8 +60,6 @@ int Main(int argc, char** argv) {
       no_telemetry = true;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--huge") == 0) {
-      huge = true;
     }
   }
   if (smoke) {
@@ -71,7 +68,6 @@ int Main(int argc, char** argv) {
 
   FleetScenarioOptions options = BaseOptions(vms, threads);
   options.policy = policy;
-  options.huge = huge;
   options.telemetry.enabled = !no_telemetry;
   if (!fault_plan_spec.empty()) {
     options.fault_plan.seed = fault_seed;
@@ -124,14 +120,12 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     result.telemetry.flight_dumps));
   }
-  if (huge) {
-    const hv::HugeReclaimStats& hr = result.huge_reclaim;
-    std::printf("huge reclaim (fleet): untouched %llu, 2m %llu, 4k %llu "
-                "-> share %.3f\n\n",
-                static_cast<unsigned long long>(hr.untouched),
-                static_cast<unsigned long long>(hr.via_2m),
-                static_cast<unsigned long long>(hr.via_4k), hr.Share());
-  }
+  const hv::HugeReclaimStats& hr = result.huge_reclaim;
+  std::printf("huge reclaim (fleet): untouched %llu, 2m %llu, 4k %llu "
+              "-> share %.3f\n\n",
+              static_cast<unsigned long long>(hr.untouched),
+              static_cast<unsigned long long>(hr.via_2m),
+              static_cast<unsigned long long>(hr.via_4k), hr.Share());
 
   // Policy comparison on identical traffic.
   std::printf("  %-20s %8s %10s %10s %8s %8s %8s %12s\n", "policy",

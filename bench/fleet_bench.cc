@@ -133,18 +133,11 @@ fleet::FleetResult RunFleetScenario(const FleetScenarioOptions& options) {
   vm_options.balloon.reporting_order = kHugeOrder;
   vm_options.fault_plan = options.fault_plan;
 
-  const bool huge = options.huge;
   fleet::FleetEngine engine(
       config, MakeFleetVmFactory(options.candidate, vm_options),
-      [process, huge](uint64_t index) {
+      [process](uint64_t index) {
         fleet::DemandAgentConfig agent;
         agent.trace = process->Generate(index);
-        if (huge) {
-          // §4.14 fast-path mode: all demand is THP-backed, so every
-          // populated huge frame maps as one 2 MiB EPT entry and the
-          // reclaim path exercises the single-flush accounting.
-          agent.thp_fraction = 1.0;
-        }
         return std::make_unique<fleet::DemandAgent>(agent);
       },
       MakePolicyByName(options.policy, options.policy_config));
@@ -231,9 +224,7 @@ std::string FleetJson(const FleetScenarioOptions& options,
   // Fleet-wide huge-frame reclaim split (§4.14); the share is 1.0 when
   // the backend reclaimed nothing (or has no huge-granular path).
   const hv::HugeReclaimStats& hr = result.huge_reclaim;
-  json += in + "\"huge\": {\"mode\": " +
-          std::string(options.huge ? "true" : "false") +
-          ", \"reclaim_untouched\": " + Num(hr.untouched) +
+  json += in + "\"huge\": {\"reclaim_untouched\": " + Num(hr.untouched) +
           ", \"reclaim_2m\": " + Num(hr.via_2m) +
           ", \"reclaim_4k\": " + Num(hr.via_4k) +
           ", \"share\": " + Num(hr.Share()) + "},\n";

@@ -71,11 +71,6 @@ struct FleetScenarioOptions {
   // spike.vms is clamped to the fleet size; 0 disables the probe.
   fleet::PressureSpike spike{2 * sim::kMin, 32, 32 * kMiB};
   bool record_series = true;
-  // Huge-frame fast-path mode (§4.14): every demand agent touches its
-  // regions THP-backed (thp_fraction = 1.0) so population and reclaim
-  // both move at 2 MiB granularity; the emitted JSON gains the
-  // fleet-wide huge-reclaim split.
-  bool huge = false;
   uint64_t seed = 1;
   // Per-VM fault plan (VM i gets seed fault_plan.seed + i, like
   // bench_faults); default: no faults.

@@ -1,7 +1,10 @@
 #include "bench/trace_io.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <string_view>
+
+#include <unistd.h>
 
 #include "src/trace/export.h"
 #include "src/trace/trace.h"
@@ -23,6 +26,19 @@ TraceOutput::TraceOutput(int argc, char** argv) {
     return;
   }
 #if HYPERALLOC_TRACE
+  // Fail before the run, not after it: the artifacts are written next to
+  // PATH, so a PATH that cannot be opened for writing ends the bench now.
+  const bool existed = access(path_.c_str(), F_OK) == 0;
+  std::FILE* probe = std::fopen(path_.c_str(), "a");
+  if (probe == nullptr) {
+    std::fprintf(stderr, "error: cannot write --trace-out path %s\n",
+                 path_.c_str());
+    std::exit(2);
+  }
+  std::fclose(probe);
+  if (!existed) {
+    std::remove(path_.c_str());
+  }
   // Benches emit from a single thread; one big ring keeps whole runs.
   trace::SpanTracer& tracer = trace::SpanTracer::Global();
   tracer.SetCapacity(size_t{1} << 20);

@@ -5,7 +5,8 @@
 // spans and instant records are enabled with an enlarged per-thread ring
 // and the artifact set (JSON or CSV, chosen by extension — see
 // src/trace/export.h) is written when the object is destroyed, i.e.
-// after the benchmark ran.
+// after the benchmark ran. A PATH that cannot be opened for writing is
+// reported and exits with status 2 before the benchmark starts.
 #ifndef HYPERALLOC_BENCH_TRACE_IO_H_
 #define HYPERALLOC_BENCH_TRACE_IO_H_
 

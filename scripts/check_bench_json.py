@@ -144,7 +144,6 @@ def check_fleet(fleet, ctx):
     if "huge" in fleet:
         huge = fleet["huge"]
         hctx = f"{ctx}.huge"
-        require(huge, "mode", bool, hctx)
         for key in ("reclaim_untouched", "reclaim_2m", "reclaim_4k",
                     "share"):
             require(huge, key, numbers.Real, hctx)

@@ -13,8 +13,9 @@ Each CSV must have a `time_s,<name>` header as written by
 metrics::TimeSeries::WriteCsv.
 
 Spans mode plots the fault-injection annotations of a spans CSV (the
-.spans.csv written via --trace-out; 14-column format with faults and
-retries, 12-column pre-fault traces plot as flat zero lines):
+.spans.csv written via --trace-out; columns are read by header name,
+instant records are skipped, and traces without faults/retries columns
+plot as flat zero lines):
 
   scripts/plot_csv.py --spans faults.svg trace.spans.csv
 
@@ -51,18 +52,27 @@ def read_series(path):
 
 def read_spans(path):
     """Cumulative injected faults/retries over virtual time, from a spans
-    CSV (14 columns with faults/retries at indices 10/11; legacy
-    12-column traces have neither and plot as zero)."""
+    CSV. Columns are found by header name (end_vns, faults, retries);
+    instant records (span_id 0) are skipped, and traces older than the
+    faults/retries columns plot as flat zero lines."""
     events = []
     with open(path) as handle:
-        handle.readline()  # header
+        header = handle.readline().strip().split(",")
+        if "end_vns" not in header or "span_id" not in header:
+            sys.exit(f"{path}: not a spans CSV (no end_vns/span_id column)")
+        span_col = header.index("span_id")
+        end_col = header.index("end_vns")
+        count_cols = [header.index(name) if name in header else None
+                      for name in ("faults", "retries")]
         for line in handle:
             parts = line.strip().split(",")
-            if len(parts) == 14:
-                end_s = float(parts[7]) / 1e9
-                events.append((end_s, int(parts[10]), int(parts[11])))
-            elif len(parts) == 12:
-                events.append((float(parts[7]) / 1e9, 0, 0))
+            if len(parts) != len(header) or parts[span_col] == "0":
+                continue
+            fault_count, retry_count = (
+                int(parts[col]) if col is not None else 0
+                for col in count_cols)
+            events.append((float(parts[end_col]) / 1e9, fault_count,
+                           retry_count))
     if not events:
         sys.exit(f"no spans in {path}")
     events.sort()

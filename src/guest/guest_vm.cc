@@ -395,14 +395,11 @@ unsigned GuestVm::Train(unsigned order, unsigned count, AllocType type,
 void GuestVm::FreeBatch(std::span<const FrameId> frames, unsigned order,
                         unsigned core) {
   if (order > llfree::kMaxSingleWordOrder) {
-    for (const FrameId f : frames) {
-      Free(f, order, core);
-    }
+    FreeEach(frames, order, core);
     return;
   }
   // Bucket LLFree-zone frames (as zone-local ids) for one PutBatch per
-  // zone. Order-0 frees into a buddy zone go in place as runs; larger
-  // orders take the single-frame path.
+  // zone; each stretch of frames in another zone frees through FreeEach.
   std::vector<std::vector<FrameId>> buckets(zones_.size());
   for (size_t i = 0; i < frames.size();) {
     const FrameId f = frames[i];
@@ -412,29 +409,16 @@ void GuestVm::FreeBatch(std::span<const FrameId> frames, unsigned order,
       ++zi;
     }
     Zone& zone = zones_[zi];
-    if (zone.buddy != nullptr && order == 0) {
-      // A run of frees into this zone, in pieces of up to 64: each
-      // frame's bookkeeping, then the piece enters the PCP as that many
-      // Frees would.
-      std::array<FrameId, 64> run{};
-      size_t n = 0;
-      for (; n < run.size() && i < frames.size() && zone.Contains(frames[i]);
-           ++i) {
-        HA_CHECK((alloc_order_[frames[i]] & 0x7fu) == 1);
-        alloc_order_[frames[i]] = 0;
-        run[n++] = frames[i] - zone.start;
+    if (zone.llfree == nullptr) {
+      size_t end = i + 1;
+      while (end < frames.size() && zone.Contains(frames[end])) {
+        ++end;
       }
-      approx_free_frames_ += n;
-      const auto err =
-          zone.buddy->FreeRun(core, std::span<const FrameId>(run.data(), n));
-      HA_CHECK(!err.has_value());
+      FreeEach(frames.subspan(i, end - i), order, core);
+      i = end;
       continue;
     }
     ++i;
-    if (zone.llfree == nullptr) {
-      Free(f, order, core);
-      continue;
-    }
     HA_CHECK((alloc_order_[f] & 0x7fu) == order + 1);
     alloc_order_[f] = 0;
     approx_free_frames_ += 1ull << order;
@@ -455,22 +439,30 @@ void GuestVm::FreeEach(std::span<const FrameId> frames, unsigned order,
   while (i < frames.size()) {
     HA_CHECK(frames[i] < total_frames_);
     Zone& zone = ZoneOf(frames[i]);
-    if (order == 0 && zone.llfree_cache != nullptr) {
-      // A run of order-0 movable frees into this zone, in pieces of up
-      // to 64: each frame's bookkeeping, then the piece enters the cache
-      // as that many Puts would (LLFree zones keep no aux state).
+    // Order-0 frees into one zone go as runs, in pieces of up to 64:
+    // each frame's bookkeeping, then the piece enters the buddy zone's
+    // PCP (any type) or the LLFree zone's per-vCPU cache (movable frames
+    // only; Free routes the others past it) as that many Frees would.
+    const auto joins_run = [&](FrameId f) {
+      const uint8_t tag = alloc_order_[f];
+      return zone.Contains(f) &&
+             (zone.buddy != nullptr ? (tag & 0x7fu) == 1 : tag == 1);
+    };
+    if (order == 0 &&
+        (zone.buddy != nullptr || zone.llfree_cache != nullptr)) {
       std::array<FrameId, 64> run{};
       size_t n = 0;
-      for (; n < run.size() && i < frames.size() &&
-             zone.Contains(frames[i]) && alloc_order_[frames[i]] == 1;
+      for (; n < run.size() && i < frames.size() && joins_run(frames[i]);
            ++i) {
         alloc_order_[frames[i]] = 0;
         run[n++] = frames[i] - zone.start;
       }
       if (n > 0) {
         approx_free_frames_ += n;
-        const auto err = zone.llfree_cache->PutRun(
-            core, std::span<const FrameId>(run.data(), n));
+        const std::span<const FrameId> piece(run.data(), n);
+        const auto err = zone.buddy != nullptr
+                             ? zone.buddy->FreeRun(core, piece)
+                             : zone.llfree_cache->PutRun(core, piece);
         HA_CHECK(!err.has_value());
         continue;
       }

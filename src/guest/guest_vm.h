@@ -183,11 +183,10 @@ class GuestVm {
                       unsigned core = 0, std::vector<FrameId>* out = nullptr,
                       bool allow_oom_notify = true);
 
-  // FreeBatch groups frames by zone and bit-field word (PutBatch) so a
-  // deflate-style free train costs one CAS per word instead of one full
-  // Put transaction per frame. In buddy zones, order-0 frames free in
-  // runs (Buddy::FreeRun) with the effect of one Free per frame. Per-frame
-  // bookkeeping is preserved.
+  // FreeBatch groups LLFree-zone frames by zone and bit-field word
+  // (PutBatch) so a deflate-style free train costs one CAS per word
+  // instead of one full Put transaction per frame; every other frame
+  // frees through FreeEach. Per-frame bookkeeping is preserved.
   void FreeBatch(std::span<const FrameId> frames, unsigned order,
                  unsigned core = 0);
 
@@ -202,8 +201,9 @@ class GuestVm {
                       unsigned core, std::vector<FrameId>* out);
 
   // Exactly the effect of Free(frame, order, core) for each frame in
-  // turn: maximal runs of order-0 movable frames in one LLFree zone enter
-  // its per-vCPU cache together.
+  // turn: runs of order-0 frames in one buddy zone enter its PCP
+  // together (Buddy::FreeRun), and runs of order-0 movable frames in one
+  // LLFree zone its per-vCPU cache.
   void FreeEach(std::span<const FrameId> frames, unsigned order,
                 unsigned core = 0);
 

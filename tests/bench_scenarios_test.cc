@@ -16,6 +16,7 @@
 
 #include "bench/candidates.h"
 #include "bench/fleet_bench.h"
+#include "bench/trace_io.h"
 #include "src/core/hyperalloc.h"
 #include "src/guest/compaction.h"
 #include "src/trace/trace.h"
@@ -360,6 +361,20 @@ TEST(BenchScenarios, HugeFrameCompactionReclaimsMoreAtHugeGranularity) {
   EXPECT_DOUBLE_EQ(compacted.share, 1.0);
   EXPECT_DOUBLE_EQ(compacted.flush_savings, 0.998046875);
   EXPECT_EQ(compacted.compaction_migrations, 66560u);
+}
+
+// An unwritable --trace-out path ends the bench before it runs, naming
+// the path, instead of aborting in the export after the whole run.
+TEST(TraceOutputDeathTest, UnwritablePathExitsBeforeTheRun) {
+#if HYPERALLOC_TRACE
+  char prog[] = "bench";
+  char flag[] = "--trace-out=no_such_dir/run.csv";
+  char* argv[] = {prog, flag};
+  EXPECT_EXIT(TraceOutput(2, argv), ::testing::ExitedWithCode(2),
+              "no_such_dir/run.csv");
+#else
+  GTEST_SKIP() << "built with HYPERALLOC_TRACE=0: --trace-out is ignored";
+#endif
 }
 
 }  // namespace
