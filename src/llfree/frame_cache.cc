@@ -32,9 +32,9 @@ Result<FrameId> FrameCache::Get(unsigned core, unsigned order,
     hits_.fetch_add(1, std::memory_order_relaxed);
     return frame;
   }
-  // Miss: refill a batch, serve from it. GetBatch already falls back to
-  // single Gets under pressure, so a partial refill is still correct —
-  // and zero claimed means the allocator is genuinely dry.
+  // Miss: refill a batch, serve from it. A batch is that many single
+  // Gets, so a partial refill is still correct and zero claimed means a
+  // single Get would have failed too.
   const unsigned got =
       alloc_->GetBatch(core, 0, config_.refill, type, &frames);
   if (got == 0) {

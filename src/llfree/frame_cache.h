@@ -2,9 +2,9 @@
 // (DESIGN.md §4.10). The same idiom as Linux's per-CPU page lists: each
 // slot holds a small stack of order-0 movable frames so the common
 // alloc/free pair touches no shared cache line at all. The cache refills
-// and drains in batches via LLFree::GetBatch/PutBatch, so even the
-// misses are amortized word-at-a-time claims instead of full Get
-// transactions.
+// and drains in batches via LLFree::GetBatch/PutBatch, so a miss claims
+// a refill's worth of frames word at a time in one claim transaction
+// instead of one transaction per frame.
 //
 // Discipline: exactly one thread may use a given slot at a time (the
 // same rule as LLFree's per-core reservation slots). The stacks are
@@ -44,9 +44,9 @@ class FrameCache {
 
   // Order-0 movable allocations are served from the slot's stack,
   // refilling in batches when empty; everything else passes through to
-  // the allocator. The refill (GetBatch) itself exercises the
-  // single-Get pressure fallback for its tail, so a refill that claims
-  // zero frames means the allocator is genuinely dry (kNoMemory).
+  // the allocator. A refill (GetBatch) is exactly `refill` single Gets,
+  // pressure fallback included, so one that claims zero frames means a
+  // single Get would have failed too (kNoMemory).
   Result<FrameId> Get(unsigned core, unsigned order, AllocType type);
 
   // Serves up to `max` order-0 movable Gets from the slot's stack alone,

@@ -106,7 +106,7 @@ std::optional<uint64_t> LLFree::TakeFromReservation(unsigned slot,
     if (!r.active) {
       return std::nullopt;
     }
-    // A shift, not a division: single Gets take this path too.
+    // A shift, not a division: every single Get takes this path.
     const unsigned avail_runs = r.free >> order;
     if (avail_runs > 0) {
       const unsigned take = std::min(avail_runs, max_runs);
@@ -349,7 +349,7 @@ unsigned LLFree::GetBatch(unsigned core, unsigned order, unsigned count,
   const Claimed claimed =
       ClaimRuns(core, order, count, type, out->data() + first);
   out->resize(first + claimed.runs);
-  // The singles tail below counts its own "llfree.get"s.
+  // The fallback tail below counts its own "llfree.get"s.
   if (claimed.runs > 0) {
     HA_COUNT_N("llfree.get", claimed.runs);
     HA_COUNT("llfree.get_batch");
